@@ -52,7 +52,7 @@ def _cmd_generate(args) -> int:
         kind="evaluate",
         mdp_source=source,
         output_dir=out,
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
     )
     mdp, _ = harness._make_instance(probe, 0)
     write_mdp(mdp, out)

@@ -13,10 +13,12 @@ the only field that differs between reruns of the same config.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -45,8 +47,8 @@ from .mdp import (
 )
 from .spectral import (
     BASIS_STRATEGIES,
+    CompressionRadiusCheck,
     build_basis,
-    check_compression_radius,
     compress,
     gelfand_sequence,
     power_vanishing_check,
@@ -66,6 +68,26 @@ EXPERIMENT_KINDS = (
 #: Findings thresholds on the measured compression radius.
 RADIUS_EXCESS_TOL = 1e-9
 RADIUS_EQUALITY_TOL = 1e-6
+
+
+def _list_field(name, value):
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _int_field(name, value, lowest):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} takes integers, got {value!r}")
+    if value < lowest:
+        raise ConfigError(f"{name} must be >= {lowest}, got {value}")
+    return int(value)
+
+
+def _real_field(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} takes numbers, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -96,22 +118,37 @@ class ExperimentConfig:
             "generator" in self.mdp_source or "path" in self.mdp_source
         ):
             raise ConfigError("mdp_source must carry 'generator' (+params) or 'path'")
-        object.__setattr__(self, "K_list", tuple(int(k) for k in self.K_list))
-        object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
+        coerced = {
+            "K_list": tuple(_int_field("K_list", k, 1) for k in _list_field("K_list", self.K_list)),
+            "alpha_list": tuple(
+                _real_field("alpha_list", a) for a in _list_field("alpha_list", self.alpha_list)
+            ),
+            "tol": _real_field("tol", self.tol),
+            "max_iter": _int_field("max_iter", self.max_iter, 1),
+            "trials": _int_field("trials", self.trials, 1),
+            "seed": _int_field("seed", self.seed, 0),
+            "rate_window": _int_field("rate_window", self.rate_window, 2),
+            "gelfand_k_max": _int_field("gelfand_k_max", self.gelfand_k_max, 1),
+            "vanish_k_max": _int_field("vanish_k_max", self.vanish_k_max, 1),
+            "vanish_threshold": _real_field("vanish_threshold", self.vanish_threshold),
+        }
+        for name, value in coerced.items():
+            object.__setattr__(self, name, value)
         if not self.K_list:
             raise ConfigError("K_list must not be empty")
-        if any(k < 1 for k in self.K_list):
-            raise ConfigError("K values must be >= 1")
         if not self.alpha_list:
             raise ConfigError("alpha_list must not be empty")
         if any(not (0.0 <= a < 1.0) for a in self.alpha_list):
             raise ConfigError("all alphas must lie in [0, 1)")
+        if not (0.0 < self.tol < math.inf) or not (0.0 < self.vanish_threshold < math.inf):
+            raise ConfigError("tol and vanish_threshold must be positive and finite")
+        if not isinstance(self.store_traces, bool):
+            raise ConfigError(f"store_traces must be true or false, got {self.store_traces!r}")
         if self.basis_strategy not in BASIS_STRATEGIES:
             raise ConfigError(f"unknown basis strategy {self.basis_strategy!r}")
-        if self.tol <= 0 or self.max_iter < 1 or self.trials < 1:
-            raise ConfigError("need tol > 0, max_iter >= 1, trials >= 1")
         if not isinstance(self.policy, str):
-            object.__setattr__(self, "policy", tuple(int(a) for a in self.policy))
+            actions = _list_field("policy", self.policy)
+            object.__setattr__(self, "policy", tuple(_int_field("policy", a, 0) for a in actions))
         elif self.policy != "action-0":
             raise ConfigError("policy must be 'action-0' or an explicit action array")
 
@@ -164,9 +201,18 @@ class ExperimentReport:
         }
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Write the report as JSON through a temporary file and os.replace,
+        so that path holds either its old contents or the whole new report."""
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def emit_trace_csv(result: EvaluationResult, path) -> None:
@@ -244,13 +290,13 @@ def _certificate_dict(cert):
     }
 
 
-def _base_record(rec_id, trial, instance_seed, mdp, K, alpha, strategy):
+def _base_record(rec_id, inst, K, alpha, strategy):
     return {
         "id": rec_id,
-        "trial": trial,
-        "instance_seed": instance_seed,
-        "provenance": mdp.provenance,
-        "n": mdp.n,
+        "trial": inst.trial,
+        "instance_seed": inst.seed,
+        "provenance": inst.mdp.provenance,
+        "n": inst.mdp.n,
         "K": K,
         "alpha": alpha,
         "strategy": strategy,
@@ -277,36 +323,105 @@ def _new_report(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+class Instance:
+    """One trial's MDP and induced chain, with every quantity that depends
+    only on them computed once, on first use, and shared by the trial's
+    records.
+
+    The work goes through this module's build_basis, spectral_radius,
+    compress and exact_vi. schur_dominant bases for all K share one
+    sorted Schur form, which the first build_basis call stores in the
+    instance's memo. A failed computation is not cached, so each record
+    that needs it records the error itself.
+    """
+
+    def __init__(self, config: ExperimentConfig, trial: int):
+        self.config = config
+        self.trial = trial
+        self.mdp, self.seed = _make_instance(config, trial)
+        _check_K(config, self.mdp.n)
+        self.chain = induce_chain(self.mdp, _policy_for(config, self.mdp))
+        self._schur_memo = {}
+        self._values = {}
+
+    def _cached(self, key, compute):
+        if key not in self._values:
+            self._values[key] = compute()
+        return self._values[key]
+
+    @property
+    def rho_P(self) -> float:
+        return self._cached("rho_P", lambda: spectral_radius(self.chain.P).rho)
+
+    def basis(self, K: int):
+        return self._cached(
+            ("basis", K),
+            lambda: build_basis(
+                self.chain.P,
+                K,
+                strategy=self.config.basis_strategy,
+                seed=self.seed,
+                memo=self._schur_memo,
+            ),
+        )
+
+    def compressed(self, K: int):
+        return self._cached(("compressed", K), lambda: compress(self.chain.P, self.basis(K)))
+
+    def rho_A(self, K: int) -> float:
+        return self._cached(("rho_A", K), lambda: spectral_radius(self.compressed(K).A).rho)
+
+    def radius_check(self, K: int) -> CompressionRadiusCheck:
+        """rho(P) against rho(U^T P U). The basis is built first, so a
+        record whose basis fails reports that failure."""
+        self.basis(K)
+        return CompressionRadiusCheck.of(self.rho_P, self.rho_A(K))
+
+    def exact(self, alpha: float):
+        return self._cached(
+            ("exact", alpha),
+            lambda: exact_vi(
+                self.chain, alpha, tol=self.config.tol, max_iter=self.config.max_iter
+            ),
+        )
+
+
 def _iter_runs(config: ExperimentConfig):
     """Deterministic enumeration order: trial, then K, then alpha."""
     for trial in range(config.trials):
-        mdp, instance_seed = _make_instance(config, trial)
-        _check_K(config, mdp.n)
-        chain = induce_chain(mdp, _policy_for(config, mdp))
-        yield trial, instance_seed, mdp, chain
+        yield Instance(config, trial)
+
+
+def _radius_fields(report, rec, chk: CompressionRadiusCheck) -> None:
+    rec["rho_P"] = chk.rho_P
+    rec["rho_A"] = chk.rho_A
+    rec["ratio"] = chk.ratio
+    if chk.rho_A > 1.0 + RADIUS_EXCESS_TOL:
+        _finding(report.findings, rec, "compression-radius-exceeds-one", rho_A=chk.rho_A)
+    if abs(chk.rho_A - chk.rho_P) > RADIUS_EQUALITY_TOL:
+        _finding(
+            report.findings,
+            rec,
+            "compression-radius-differs",
+            rho_P=chk.rho_P,
+            rho_A=chk.rho_A,
+            ratio=chk.ratio,
+        )
 
 
 def _run_evaluate(config: ExperimentConfig, report: ExperimentReport) -> None:
-    for trial, instance_seed, mdp, chain in _iter_runs(config):
-        exact_cache = {}
+    for inst in _iter_runs(config):
+        chain = inst.chain
         for K in config.K_list:
             for alpha in config.alpha_list:
-                rec_id = f"t{trial:04d}_K{K}_a{alpha:g}"
-                rec = _base_record(
-                    rec_id, trial, instance_seed, mdp, K, alpha, config.basis_strategy
-                )
+                rec_id = f"t{inst.trial:04d}_K{K}_a{alpha:g}"
+                rec = _base_record(rec_id, inst, K, alpha, config.basis_strategy)
                 try:
-                    U = build_basis(
-                        chain.P, K, strategy=config.basis_strategy, seed=instance_seed
-                    )
+                    U = inst.basis(K)
                     proj = projected_vi(
                         chain, U, alpha, tol=config.tol, max_iter=config.max_iter
                     )
-                    if alpha not in exact_cache:
-                        exact_cache[alpha] = exact_vi(
-                            chain, alpha, tol=config.tol, max_iter=config.max_iter
-                        )
-                    exact = exact_cache[alpha]
+                    exact = inst.exact(alpha)
                     rec["status"] = proj.trace.status.value
                     rec["k_final"] = proj.trace.k_final
                     rec["final_residual"] = (
@@ -318,9 +433,8 @@ def _run_evaluate(config: ExperimentConfig, report: ExperimentReport) -> None:
                     rec["exact_status"] = exact.trace.status.value
                     rec["exact_k_final"] = exact.trace.k_final
                     if proj.trace.status is RunStatus.CONVERGED:
-                        A = compress(chain.P, U)
                         b = U.U.T @ chain.c
-                        oracle = direct_solve(A, b, alpha)
+                        oracle = direct_solve(inst.compressed(K), b, alpha)
                         rec["oracle_err_inf"] = float(
                             np.abs(proj.v_fixed - oracle).max()
                         )
@@ -372,24 +486,19 @@ def _run_evaluate(config: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _run_compare_rates(config: ExperimentConfig, report: ExperimentReport) -> None:
-    for trial, instance_seed, mdp, chain in _iter_runs(config):
-        rho_P = spectral_radius(chain.P).rho
+    for inst in _iter_runs(config):
         for K in config.K_list:
             for alpha in config.alpha_list:
-                rec_id = f"t{trial:04d}_K{K}_a{alpha:g}"
-                rec = _base_record(
-                    rec_id, trial, instance_seed, mdp, K, alpha, config.basis_strategy
-                )
+                rec_id = f"t{inst.trial:04d}_K{K}_a{alpha:g}"
+                rec = _base_record(rec_id, inst, K, alpha, config.basis_strategy)
                 try:
-                    U = build_basis(
-                        chain.P, K, strategy=config.basis_strategy, seed=instance_seed
-                    )
-                    A = compress(chain.P, U)
-                    rho_A = spectral_radius(A.A).rho
-                    exact = exact_vi(chain, alpha, tol=config.tol, max_iter=config.max_iter)
+                    U = inst.basis(K)
+                    rho_A = inst.rho_A(K)
+                    exact = inst.exact(alpha)
                     proj = projected_vi(
-                        chain, U, alpha, tol=config.tol, max_iter=config.max_iter
+                        inst.chain, U, alpha, tol=config.tol, max_iter=config.max_iter
                     )
+                    rho_P = inst.rho_P
                     r_exact = rate_estimate(
                         exact.trace, config.rate_window, predicted_rate=alpha * rho_P
                     )
@@ -434,37 +543,15 @@ def _run_compare_rates(config: ExperimentConfig, report: ExperimentReport) -> No
     }
 
 
-def _ratio_findings(report, rec, rho_P, rho_A, ratio):
-    if rho_A > 1.0 + RADIUS_EXCESS_TOL:
-        _finding(report.findings, rec, "compression-radius-exceeds-one", rho_A=rho_A)
-    if abs(rho_A - rho_P) > RADIUS_EQUALITY_TOL:
-        _finding(
-            report.findings,
-            rec,
-            "compression-radius-differs",
-            rho_P=rho_P,
-            rho_A=rho_A,
-            ratio=ratio,
-        )
-
-
 def _run_check_compression(config: ExperimentConfig, report: ExperimentReport) -> None:
-    for trial, instance_seed, mdp, chain in _iter_runs(config):
+    for inst in _iter_runs(config):
         for K in config.K_list:
-            rec_id = f"t{trial:04d}_K{K}"
-            rec = _base_record(
-                rec_id, trial, instance_seed, mdp, K, None, config.basis_strategy
-            )
+            rec_id = f"t{inst.trial:04d}_K{K}"
+            rec = _base_record(rec_id, inst, K, None, config.basis_strategy)
             try:
-                U = build_basis(
-                    chain.P, K, strategy=config.basis_strategy, seed=instance_seed
-                )
-                chk = check_compression_radius(chain.P, U)
-                rec["rho_P"] = chk.rho_P
-                rec["rho_A"] = chk.rho_A
-                rec["ratio"] = chk.ratio
+                chk = inst.radius_check(K)
                 rec["status"] = "ok"
-                _ratio_findings(report, rec, chk.rho_P, chk.rho_A, chk.ratio)
+                _radius_fields(report, rec, chk)
             except SpecviError as exc:
                 _record_error(rec, exc)
             report.records.append(rec)
@@ -487,17 +574,18 @@ def _run_check_compression(config: ExperimentConfig, report: ExperimentReport) -
 
 def _run_gelfand_study(config: ExperimentConfig, report: ExperimentReport) -> None:
     k_max = config.gelfand_k_max
-    for trial, instance_seed, mdp, chain in _iter_runs(config):
-        targets = [("P", chain.P.entries)]
-        for K in config.K_list:
-            U = build_basis(chain.P, K, strategy=config.basis_strategy, seed=instance_seed)
-            targets.append((f"A_K{K}", compress(chain.P, U).A))
-        for tag, M in targets:
-            rec_id = f"t{trial:04d}_{tag}"
-            rec = _base_record(rec_id, trial, instance_seed, mdp, None, None, config.basis_strategy)
+    for inst in _iter_runs(config):
+        # target P, then one compression per K; a failed basis fails only its target
+        for K in (None,) + config.K_list:
+            tag = "P" if K is None else f"A_K{K}"
+            rec_id = f"t{inst.trial:04d}_{tag}"
+            rec = _base_record(rec_id, inst, None, None, config.basis_strategy)
             rec["target"] = tag
             try:
-                rho = spectral_radius(M).rho
+                if K is None:
+                    M, rho = inst.chain.P.entries, inst.rho_P
+                else:
+                    M, rho = inst.compressed(K).A, inst.rho_A(K)
                 seq2 = gelfand_sequence(M, k_max, "two_norm")
                 seqi = gelfand_sequence(M, k_max, "inf_norm")
                 rec["rho_dense"] = rho
@@ -530,13 +618,17 @@ def _run_proposition_suite(config: ExperimentConfig, report: ExperimentReport) -
     included so the exact-equality claim gets one airtight probe per
     instance.
     """
-    for trial, instance_seed, mdp, chain in _iter_runs(config):
-        # identity sub-case: A = P exactly, so the measured ratio must be 1
-        rec_id = f"t{trial:04d}_identity"
-        rec = _base_record(rec_id, trial, instance_seed, mdp, chain.n, None, "coordinate")
+    for inst in _iter_runs(config):
+        chain = inst.chain
+        # identity sub-case: A = P exactly, so the measured ratio must be 1;
+        # its rho_A is measured directly, the claim's one airtight probe
+        rec_id = f"t{inst.trial:04d}_identity"
+        rec = _base_record(rec_id, inst, chain.n, None, "coordinate")
         try:
             U_id = build_basis(chain.P, chain.n, strategy="coordinate")
-            chk = check_compression_radius(chain.P, U_id)
+            chk = CompressionRadiusCheck.of(
+                inst.rho_P, spectral_radius(compress(chain.P, U_id).A).rho
+            )
             rec["rho_P"] = chk.rho_P
             rec["rho_A"] = chk.rho_A
             rec["ratio"] = chk.ratio
@@ -550,20 +642,13 @@ def _run_proposition_suite(config: ExperimentConfig, report: ExperimentReport) -
 
         for K in config.K_list:
             for alpha in config.alpha_list:
-                rec_id = f"t{trial:04d}_K{K}_a{alpha:g}"
-                rec = _base_record(
-                    rec_id, trial, instance_seed, mdp, K, alpha, config.basis_strategy
-                )
+                rec_id = f"t{inst.trial:04d}_K{K}_a{alpha:g}"
+                rec = _base_record(rec_id, inst, K, alpha, config.basis_strategy)
                 try:
-                    U = build_basis(
-                        chain.P, K, strategy=config.basis_strategy, seed=instance_seed
-                    )
-                    A = compress(chain.P, U)
-                    chk = check_compression_radius(chain.P, U)
-                    rec["rho_P"] = chk.rho_P
-                    rec["rho_A"] = chk.rho_A
-                    rec["ratio"] = chk.ratio
-                    _ratio_findings(report, rec, chk.rho_P, chk.rho_A, chk.ratio)
+                    U = inst.basis(K)
+                    A = inst.compressed(K)
+                    chk = inst.radius_check(K)
+                    _radius_fields(report, rec, chk)
 
                     scaled = math.sqrt(alpha) * A.A
                     van = power_vanishing_check(

@@ -178,12 +178,28 @@ class VanishingCheck:
 
 
 @dataclass(frozen=True)
+class SortedSchur:
+    """What schur_dominant bases use of a modulus-sorted real Schur form P = Z T Z^T."""
+
+    Z: np.ndarray  # Schur vectors, blocks by decreasing modulus
+    subdiag: np.ndarray  # T[i + 1, i]
+    subdiag_tol: float  # above it, rows i and i + 1 hold a complex-pair block
+
+    def __post_init__(self):
+        self.Z.setflags(write=False)
+
+
+@dataclass(frozen=True)
 class CompressionRadiusCheck:
     """Measured rho(P), rho(U^T P U) and their ratio for one (P, U) pair."""
 
     rho_P: float
     rho_A: float
     ratio: float
+
+    @classmethod
+    def of(cls, rho_P: float, rho_A: float) -> "CompressionRadiusCheck":
+        return cls(rho_P=rho_P, rho_A=rho_A, ratio=rho_A / rho_P if rho_P > 0 else math.inf)
 
 
 def spectral_radius(M) -> SpectralEstimate:
@@ -262,19 +278,42 @@ def _schur_block_starts(T: np.ndarray, tol: float) -> list[int]:
     return starts
 
 
-def _block_modulus(T: np.ndarray, start: int, size: int) -> float:
-    if size == 1:
-        return abs(float(T[start, start]))
-    block = T[start : start + 2, start : start + 2]
-    return float(np.abs(np.linalg.eigvals(block)).max())
+def _block_moduli(T: np.ndarray, tol: float, pos: int):
+    """Starts, sizes and eigenvalue moduli of the diagonal blocks at or after pos.
+
+    The blocks are the greedy partition of _schur_block_starts: an
+    above-tol subdiagonal entry T[i+1, i] pairs rows i and i+1.
+    """
+    n = T.shape[0]
+    paired = np.abs(np.diag(T, -1)) > tol
+    if np.any(paired[1:] & paired[:-1]):
+        # adjacent above-tol entries: only the greedy scan pairs them right
+        starts = np.array(_schur_block_starts(T, tol), dtype=np.intp)
+    else:
+        starts = np.flatnonzero(np.concatenate(([True], ~paired)))
+    starts = starts[starts >= pos]
+    sizes = np.diff(np.append(starts, n))
+    moduli = np.abs(T[starts, starts])
+    two = np.flatnonzero(sizes == 2)
+    if two.size:
+        s = starts[two]
+        blocks = np.empty((two.size, 2, 2))
+        blocks[:, 0, 0] = T[s, s]
+        blocks[:, 0, 1] = T[s, s + 1]
+        blocks[:, 1, 0] = T[s + 1, s]
+        blocks[:, 1, 1] = T[s + 1, s + 1]
+        moduli[two] = np.abs(np.linalg.eigvals(blocks)).max(axis=1)
+    return starts, sizes, moduli
 
 
 def _sorted_real_schur(P: np.ndarray):
     """Real Schur form with diagonal blocks ordered by decreasing modulus.
 
-    Whole 1x1/2x2 blocks are moved with LAPACK's trexc, so complex pairs
-    stay intact; the leading columns of the returned Q then span dominant
-    invariant subspaces.
+    A selection sort on whole 1x1/2x2 blocks: each pass moves the first
+    block of largest modulus at or after pos to pos with LAPACK's trexc
+    (Bai & Demmel, 1993), in place, so complex pairs stay intact; the
+    leading columns of the returned Q then span dominant invariant
+    subspaces.
     """
     try:
         T, Z = scipy.linalg.schur(P, output="real")
@@ -286,29 +325,22 @@ def _sorted_real_schur(P: np.ndarray):
     Z = np.asfortranarray(Z)
     pos = 0
     while pos < n:
-        # selection sort on whole blocks: move the largest-modulus block
-        # among those at or after pos to position pos
-        starts = _schur_block_starts(T, subdiag_tol)
-        bounds = starts + [n]
-        blocks = [
-            (bounds[i], bounds[i + 1] - bounds[i])
-            for i in range(len(starts))
-            if bounds[i] >= pos
-        ]
-        best_start, best_size = max(
-            blocks, key=lambda blk: _block_modulus(T, blk[0], blk[1])
-        )
+        starts, sizes, moduli = _block_moduli(T, subdiag_tol, pos)
+        best = int(np.argmax(moduli))
+        best_start = int(starts[best])
         if best_start != pos:
-            T, Z, info = scipy.linalg.lapack.dtrexc(T, Z, best_start + 1, pos + 1)
+            T, Z, info = scipy.linalg.lapack.dtrexc(
+                T, Z, best_start + 1, pos + 1, overwrite_a=1, overwrite_q=1
+            )
             if info != 0:
                 raise EigenFailureError(f"Schur reordering failed (trexc info={info})")
-            T = np.asfortranarray(T)
-            Z = np.asfortranarray(Z)
-        pos += best_size
-    return np.ascontiguousarray(T), np.ascontiguousarray(Z), subdiag_tol
+        pos += int(sizes[best])
+    return T, Z, subdiag_tol
 
 
-def build_basis(P, K: int, strategy: str = "schur_dominant", seed: int = 0) -> OrthonormalBasis:
+def build_basis(
+    P, K: int, strategy: str = "schur_dominant", seed: int = 0, memo: dict | None = None
+) -> OrthonormalBasis:
     """Construct an n x K orthonormal basis by the named strategy.
 
     schur_dominant: first K vectors of the modulus-sorted real Schur form
@@ -316,6 +348,10 @@ def build_basis(P, K: int, strategy: str = "schur_dominant", seed: int = 0) -> O
     when K would cut a 2x2 complex-pair block. svd_top: top-K left
     singular vectors. random_orthonormal: thin QR of a seeded Gaussian.
     coordinate: first K standard basis vectors.
+
+    memo, if given, is a dict the caller keeps for this one P: the first
+    schur_dominant call stores the sorted Schur form in it, and later
+    calls for other K reuse it.
     """
     M = square_matrix(P)
     n = M.shape[0]
@@ -338,13 +374,18 @@ def build_basis(P, K: int, strategy: str = "schur_dominant", seed: int = 0) -> O
             raise EigenFailureError("SVD did not converge") from exc
         U = left[:, :K]
     else:  # schur_dominant
-        T, Z, subdiag_tol = _sorted_real_schur(M)
-        if K < n and abs(T[K, K - 1]) > subdiag_tol:
+        schur = memo.get("schur") if memo is not None else None
+        if schur is None:
+            T, Z, subdiag_tol = _sorted_real_schur(M)
+            schur = SortedSchur(Z, np.diag(T, -1).copy(), subdiag_tol)
+            if memo is not None:
+                memo["schur"] = schur
+        if K < n and abs(schur.subdiag[K - 1]) > schur.subdiag_tol:
             raise SplitConjugatePairError(
                 f"K={K} cuts a 2x2 complex-pair Schur block; use K={K + 1} "
                 "or another strategy"
             )
-        U = Z[:, :K]
+        U = schur.Z[:, :K]
     return OrthonormalBasis(np.ascontiguousarray(U), strategy)
 
 
@@ -449,6 +490,4 @@ def check_compression_radius(P, U: OrthonormalBasis) -> CompressionRadiusCheck:
     M = square_matrix(P)
     rho_P = spectral_radius(M).rho
     A = compress(M, U)
-    rho_A = spectral_radius(A.A).rho
-    ratio = rho_A / rho_P if rho_P > 0 else math.inf
-    return CompressionRadiusCheck(rho_P=rho_P, rho_A=rho_A, ratio=ratio)
+    return CompressionRadiusCheck.of(rho_P, spectral_radius(A.A).rho)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from specvi import harness, spectral
 from specvi.cli import main as cli_main
 from specvi.errors import ConfigError
 from specvi.evaluation import EvaluationResult, IterationTrace, RunStatus, exact_vi
 from specvi.harness import (
     ExperimentConfig,
+    ExperimentReport,
     emit_trace_csv,
     proposition_suite,
     read_trace_csv,
@@ -49,6 +51,19 @@ class TestConfig:
             {"basis_strategy": "fancy"},
             {"mdp_source": {"n": 5}},
             {"policy": "greedy"},
+            {"K_list": "ab"},
+            {"K_list": 3},
+            {"K_list": [2.5]},
+            {"seed": -1},
+            {"seed": "0"},
+            {"trials": True},
+            {"max_iter": 10.0},
+            {"tol": "1e-8"},
+            {"tol": float("nan")},
+            {"rate_window": 1},
+            {"vanish_threshold": 0.0},
+            {"store_traces": "no"},
+            {"policy": ["x"]},
         ],
     )
     def test_invalid_configs(self, tmp_path, patch):
@@ -65,6 +80,14 @@ class TestConfig:
                     "turbo": True,
                 }
             )
+
+    def test_scalars_coerced(self, tmp_path):
+        cfg = config(
+            tmp_path, K_list=[np.int64(3)], alpha_list=[np.float32(0.5)], seed=np.int64(4), tol=1
+        )
+        assert cfg.K_list == (3,) and type(cfg.K_list[0]) is int
+        assert cfg.alpha_list == (0.5,)
+        assert type(cfg.seed) is int and type(cfg.tol) is float
 
     def test_missing_required(self):
         with pytest.raises(ConfigError):
@@ -199,6 +222,100 @@ class TestGelfandStudy:
             assert rec["err_two"] <= max(1e-6, 0.05 * rho)
 
 
+    def test_split_pair_fails_only_its_target(self, tmp_path, capsys):
+        # random n=40 instances: K=4 cuts a complex-pair Schur block, K=3 does not
+        cfg = tmp_path / "g.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "mdp_source": {"generator": "random", "n": 40, "m": 2},
+                    "output_dir": str(tmp_path / "g"),
+                    "K_list": [3, 4],
+                    "basis_strategy": "schur_dominant",
+                    "gelfand_k_max": 20,
+                    "trials": 2,
+                }
+            )
+        )
+        assert cli_main(["gelfand-study", "--config", str(cfg)]) == 0
+        assert "error:" not in capsys.readouterr().err
+        data = json.loads((tmp_path / "g" / "report.json").read_text())
+        by_id = {r["id"]: r for r in data["records"]}
+        assert list(by_id) == [
+            f"t{t:04d}_{tag}" for t in range(2) for tag in ("P", "A_K3", "A_K4")
+        ]
+        for t in range(2):
+            assert by_id[f"t{t:04d}_P"]["status"] == "ok"
+            assert by_id[f"t{t:04d}_A_K3"]["status"] == "ok"
+            failed = by_id[f"t{t:04d}_A_K4"]
+            assert failed["status"] == "error"
+            assert failed["error_type"] == "SplitConjugatePairError"
+            assert failed["target"] == "A_K4"
+        assert data["summary"]["errors"] == 2
+
+
+class TestInstanceQuantitiesOnce:
+    """Per trial, each quantity that depends only on the instance is computed once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_sorted_schur_per_trial(self, tmp_path, monkeypatch):
+        schur = self.count_calls(monkeypatch, spectral, "_sorted_real_schur")
+        bases = self.count_calls(monkeypatch, harness, "build_basis")
+        radii = self.count_calls(monkeypatch, harness, "spectral_radius")
+        cfg = config(
+            tmp_path,
+            kind="proposition_suite",
+            mdp_source={"generator": "symmetric_walk", "n": 30, "self_loop": 0.2},
+            K_list=[3, 8],
+            alpha_list=[0.5, 0.9, 0.99],
+            basis_strategy="schur_dominant",
+            trials=2,
+        )
+        report = run_experiment(cfg)
+        assert report.summary["errors"] == 0
+        assert len(schur) == 2
+        # per trial: the identity basis, then one schur_dominant basis per K
+        assert len(bases) == 2 * (1 + 2)
+        # per trial: rho(P), the identity's rho_A, then one rho_A per K
+        assert len(radii) == 2 * (1 + 1 + 2)
+
+    def test_exact_vi_once_per_alpha(self, tmp_path, monkeypatch):
+        exact = self.count_calls(monkeypatch, harness, "exact_vi")
+        cfg = config(
+            tmp_path,
+            kind="compare_rates",
+            K_list=[2, 4, 6],
+            alpha_list=[0.9, 0.95],
+            basis_strategy="random_orthonormal",
+            trials=2,
+        )
+        run_experiment(cfg)
+        assert len(exact) == 2 * 2
+
+    def test_failed_basis_is_retried_not_cached(self, tmp_path):
+        cfg = config(
+            tmp_path,
+            mdp_source={"generator": "random", "n": 10, "m": 1},
+            K_list=[2],
+            alpha_list=[0.5, 0.9],
+            basis_strategy="schur_dominant",
+            trials=1,
+        )
+        report = run_experiment(cfg)
+        assert [r["error_type"] for r in report.records] == ["SplitConjugatePairError"] * 2
+
+
 class TestPropositionSuite:
     def test_symmetric_class_no_divergence(self, tmp_path):
         cfg = config(
@@ -250,6 +367,24 @@ class TestPropositionSuite:
     def test_wrong_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             proposition_suite(config(tmp_path, kind="evaluate"))
+
+
+class TestReportWrite:
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        cfg = config(tmp_path)
+        run_experiment(cfg)
+        path = tmp_path / "out" / "report.json"
+        before = path.read_bytes()
+        # json.dump has written part of the object when it meets the bad value
+        monkeypatch.setattr(
+            ExperimentReport, "to_json_dict", lambda self: {"a": "x" * 100000, "b": object()}
+        )
+        with pytest.raises(TypeError):
+            ExperimentReport(kind="evaluate", config=cfg).write(str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir() if "report" in p.name) == [
+            "report.json"
+        ]
 
 
 class TestTraceCsv:
@@ -352,6 +487,17 @@ class TestCli:
         cfg.write_text(json.dumps({"mdp_source": {"generator": "random", "n": 3, "m": 1}}))
         # missing output_dir
         assert cli_main(["evaluate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("patch", [{"K_list": "ab"}, {"seed": -1}])
+    def test_bad_config_value_is_error_line(self, tmp_path, capsys, patch):
+        cfg = tmp_path / "bad.json"
+        body = {
+            "mdp_source": {"generator": "random", "n": 5, "m": 1},
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg.write_text(json.dumps(dict(body, **patch)))
+        assert cli_main(["evaluate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_findings_still_exit_zero(self, tmp_path):
         cfg = tmp_path / "c.json"

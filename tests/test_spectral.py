@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from specvi.errors import (
@@ -11,9 +12,18 @@ from specvi.errors import (
     PowerOverflowError,
     SplitConjugatePairError,
 )
-from specvi.mdp import make_random_mdp, make_symmetric_walk, validate_stochastic
+from specvi.mdp import (
+    Policy,
+    induce_chain,
+    make_random_mdp,
+    make_symmetric_walk,
+    validate_stochastic,
+)
 from specvi.spectral import (
     BASIS_STRATEGIES,
+    _block_moduli,
+    _schur_block_starts,
+    _sorted_real_schur,
     OrthonormalBasis,
     bounded_power_constant,
     build_basis,
@@ -342,3 +352,89 @@ class TestCompressionRadius:
         chk = check_compression_radius(P, U)
         assert chk.ratio == pytest.approx(chk.rho_A / chk.rho_P)
         assert np.isfinite(chk.ratio)
+
+
+def reference_sorted_real_schur(P):
+    """The per-block selection loop the vectorised pass must match byte for byte.
+
+    Each pass rebuilds the block list in Python, takes the first block of
+    largest modulus with max(key=...), and moves it with a copying trexc.
+    """
+    T, Z = scipy.linalg.schur(P, output="real")
+    n = P.shape[0]
+    tol = 100 * np.finfo(np.float64).eps * max(1.0, inf_norm(P))
+    T = np.asfortranarray(T)
+    Z = np.asfortranarray(Z)
+
+    def modulus(start, size):
+        if size == 1:
+            return abs(float(T[start, start]))
+        block = T[start : start + 2, start : start + 2]
+        return float(np.abs(np.linalg.eigvals(block)).max())
+
+    pos = 0
+    while pos < n:
+        bounds = _schur_block_starts(T, tol) + [n]
+        blocks = [
+            (bounds[i], bounds[i + 1] - bounds[i])
+            for i in range(len(bounds) - 1)
+            if bounds[i] >= pos
+        ]
+        best_start, best_size = max(blocks, key=lambda blk: modulus(*blk))
+        if best_start != pos:
+            T, Z, info = scipy.linalg.lapack.dtrexc(T, Z, best_start + 1, pos + 1)
+            assert info == 0
+            T = np.asfortranarray(T)
+            Z = np.asfortranarray(Z)
+        pos += best_size
+    return np.ascontiguousarray(T), np.ascontiguousarray(Z), tol
+
+
+def chain_matrix(mdp):
+    return induce_chain(mdp, Policy(np.zeros(mdp.n, dtype=np.int64))).P.entries
+
+
+class TestSchurMemo:
+    def test_memo_gives_the_same_bases_and_errors(self):
+        P = chain_matrix(make_random_mdp(30, 2, seed=3))
+        memo = {}
+        for K in range(1, 31):
+            try:
+                want = build_basis(P, K).U.tobytes()
+            except SplitConjugatePairError:
+                with pytest.raises(SplitConjugatePairError):
+                    build_basis(P, K, memo=memo)
+                continue
+            assert build_basis(P, K, memo=memo).U.tobytes() == want
+        assert list(memo) == ["schur"]
+
+
+class TestSortedSchurReference:
+    """Random MDPs have complex pairs; symmetric walks have modulus ties."""
+
+    @pytest.mark.parametrize("n", [20, 150, 300])
+    @pytest.mark.parametrize("make", ["random", "walk"])
+    def test_matches_reference_bytes(self, n, make):
+        if make == "random":
+            P = chain_matrix(make_random_mdp(n, 2, seed=n))
+        else:
+            P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
+        T, Z, tol = _sorted_real_schur(P)
+        T_ref, Z_ref, tol_ref = reference_sorted_real_schur(P)
+        assert tol == tol_ref
+        assert T.tobytes() == T_ref.tobytes()
+        assert Z.tobytes() == Z_ref.tobytes()
+        if make == "random":
+            assert np.count_nonzero(np.abs(np.diag(T, -1)) > tol) > 0
+
+    def test_adjacent_subdiagonals_pair_greedily(self):
+        # quasi-triangular T with two above-tol subdiagonal entries in a
+        # row: the greedy partition pairs rows 0-1 and leaves row 2 alone
+        T = np.triu(np.arange(1.0, 17.0).reshape(4, 4))
+        T[1, 0] = 0.5
+        T[2, 1] = 0.25
+        assert _schur_block_starts(T, 1e-12) == [0, 2, 3]
+        starts, sizes, moduli = _block_moduli(T, 1e-12, 0)
+        assert starts.tolist() == [0, 2, 3]
+        assert sizes.tolist() == [2, 1, 1]
+        assert moduli[1:].tolist() == [11.0, 16.0]
