@@ -82,6 +82,11 @@ class ConvergenceCertificate:
     alpha_rho: float
     certified: bool
 
+    @classmethod
+    def of(cls, alpha: float, rho_A: float) -> "ConvergenceCertificate":
+        """The certificate of alpha*A, given rho(A)."""
+        return cls(rho_A=rho_A, alpha_rho=alpha * rho_A, certified=alpha * rho_A < 1.0)
+
 
 @dataclass(frozen=True)
 class EvaluationResult:
@@ -154,7 +159,7 @@ def exact_vi(
 
 def projected_vi(
     chain: InducedChain,
-    U: OrthonormalBasis,
+    U: OrthonormalBasis | CompressedOperator,
     alpha,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -165,17 +170,25 @@ def projected_vi(
 
     A = U^T P U and b = U^T c are formed once, then the affine loop runs
     until tol, max_iter, or the divergence guard (inf norm above 1e12).
+    U may also be the compression U^T P U of chain.P, as compress returns
+    it; its .basis is then U and A is not formed again.
     Divergence is reported as a status, not an exception: it is evidence
     that alpha*rho(U^T P U) >= 1 for this instance. The certificate
     (rho(A), alpha*rho(A)) is attached by default for K <= 500;
     compute_certificate forces it on or off.
     """
+    op = None
+    if isinstance(U, CompressedOperator):
+        op, U = U, U.basis
+        if U is None:
+            raise InvalidParameterError("the compressed operator carries no basis")
     if U.n != chain.n:
         raise DimensionMismatchError(
             f"basis rows {U.n} do not match chain size {chain.n}"
         )
     a = float(as_discount(alpha))
-    op = compress(chain.P, U)
+    if op is None:
+        op = compress(chain.P, U)
     b = U.U.T @ chain.c
     v, trace = _run_affine(op.A, b, a, tol, max_iter, store_iterates)
     want_cert = (
@@ -185,10 +198,7 @@ def projected_vi(
     )
     certificate = None
     if want_cert:
-        rho_A = spectral_radius(op.A).rho
-        certificate = ConvergenceCertificate(
-            rho_A=rho_A, alpha_rho=a * rho_A, certified=a * rho_A < 1.0
-        )
+        certificate = ConvergenceCertificate.of(a, spectral_radius(op.A).rho)
     return EvaluationResult(v_fixed=v, trace=trace, certificate=certificate)
 
 

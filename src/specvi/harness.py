@@ -20,12 +20,15 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, SpecviError
 from .evaluation import (
+    CERTIFICATE_SIZE_LIMIT,
+    ConvergenceCertificate,
     EvaluationResult,
     RunStatus,
     approximation_error,
@@ -36,7 +39,6 @@ from .evaluation import (
     reconstruct,
 )
 from .mdp import (
-    InducedChain,
     Mdp,
     Policy,
     format_real,
@@ -246,20 +248,17 @@ def _make_instance(config: ExperimentConfig, trial: int) -> tuple[Mdp, int]:
     src = config.mdp_source
     instance_seed = config.seed + trial
     if "path" in src:
+        if not isinstance(src["path"], str):
+            raise ConfigError(f"mdp_source path takes a string, got {src['path']!r}")
         return read_mdp(src["path"]), instance_seed
     gen = src["generator"]
     if gen == "random":
-        try:
-            n, m = int(src["n"]), int(src["m"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("random generator needs integer 'n' and 'm'") from exc
+        n = _int_field("mdp_source n", src.get("n"), 1)
+        m = _int_field("mdp_source m", src.get("m"), 1)
         return make_random_mdp(n, m, instance_seed), instance_seed
     if gen == "symmetric_walk":
-        try:
-            n = int(src["n"])
-            self_loop = float(src.get("self_loop", 0.1))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("symmetric_walk generator needs integer 'n'") from exc
+        n = _int_field("mdp_source n", src.get("n"), 1)
+        self_loop = _real_field("mdp_source self_loop", src.get("self_loop", 0.1))
         return make_symmetric_walk(n, self_loop, instance_seed), instance_seed
     raise ConfigError(f"unknown generator {gen!r}")
 
@@ -290,16 +289,16 @@ def _certificate_dict(cert):
     }
 
 
-def _base_record(rec_id, inst, K, alpha, strategy):
+def _base_record(inst, t):
     return {
-        "id": rec_id,
+        "id": f"t{inst.trial:04d}_{t.suffix}",
         "trial": inst.trial,
         "instance_seed": inst.seed,
         "provenance": inst.mdp.provenance,
         "n": inst.mdp.n,
-        "K": K,
-        "alpha": alpha,
-        "strategy": strategy,
+        "K": t.K,
+        "alpha": t.alpha,
+        "strategy": t.strategy,
     }
 
 
@@ -386,21 +385,37 @@ class Instance:
         )
 
 
-def _iter_runs(config: ExperimentConfig):
-    """Deterministic enumeration order: trial, then K, then alpha."""
-    for trial in range(config.trials):
-        yield Instance(config, trial)
+class _Target(NamedTuple):
+    """One record of a trial: the record-id suffix after the trial prefix,
+    the record's own K, alpha and strategy, and, for gelfand_study, the K
+    whose compression the record measures (None: P itself)."""
+
+    suffix: str
+    K: int | None
+    alpha: float | None
+    strategy: str
+    operand: int | None = None
 
 
-def _radius_fields(report, rec, chk: CompressionRadiusCheck) -> None:
+def _grid_targets(inst):
+    """One target per (K, alpha), K-major."""
+    config = inst.config
+    return [
+        _Target(f"K{K}_a{alpha:g}", K, alpha, config.basis_strategy)
+        for K in config.K_list
+        for alpha in config.alpha_list
+    ]
+
+
+def _radius_fields(findings, rec, chk: CompressionRadiusCheck) -> None:
     rec["rho_P"] = chk.rho_P
     rec["rho_A"] = chk.rho_A
     rec["ratio"] = chk.ratio
     if chk.rho_A > 1.0 + RADIUS_EXCESS_TOL:
-        _finding(report.findings, rec, "compression-radius-exceeds-one", rho_A=chk.rho_A)
+        _finding(findings, rec, "compression-radius-exceeds-one", rho_A=chk.rho_A)
     if abs(chk.rho_A - chk.rho_P) > RADIUS_EQUALITY_TOL:
         _finding(
-            report.findings,
+            findings,
             rec,
             "compression-radius-differs",
             rho_P=chk.rho_P,
@@ -409,333 +424,268 @@ def _radius_fields(report, rec, chk: CompressionRadiusCheck) -> None:
         )
 
 
-def _run_evaluate(config: ExperimentConfig, report: ExperimentReport) -> None:
-    for inst in _iter_runs(config):
-        chain = inst.chain
-        for K in config.K_list:
-            for alpha in config.alpha_list:
-                rec_id = f"t{inst.trial:04d}_K{K}_a{alpha:g}"
-                rec = _base_record(rec_id, inst, K, alpha, config.basis_strategy)
-                try:
-                    U = inst.basis(K)
-                    proj = projected_vi(
-                        chain, U, alpha, tol=config.tol, max_iter=config.max_iter
-                    )
-                    exact = inst.exact(alpha)
-                    rec["status"] = proj.trace.status.value
-                    rec["k_final"] = proj.trace.k_final
-                    rec["final_residual"] = (
-                        float(proj.trace.residuals_inf[-1])
-                        if proj.trace.k_final
-                        else 0.0
-                    )
-                    rec["certificate"] = _certificate_dict(proj.certificate)
-                    rec["exact_status"] = exact.trace.status.value
-                    rec["exact_k_final"] = exact.trace.k_final
-                    if proj.trace.status is RunStatus.CONVERGED:
-                        b = U.U.T @ chain.c
-                        oracle = direct_solve(inst.compressed(K), b, alpha)
-                        rec["oracle_err_inf"] = float(
-                            np.abs(proj.v_fixed - oracle).max()
-                        )
-                        err = approximation_error(
-                            exact.v_fixed, reconstruct(U, proj.v_fixed)
-                        )
-                        rec["approx_err_inf"] = err.err_inf
-                        rec["approx_rel_inf"] = err.rel_inf
-                        if rec["oracle_err_inf"] > 100 * config.tol:
-                            _finding(
-                                report.findings,
-                                rec,
-                                "fixed-point-mismatch",
-                                oracle_err_inf=rec["oracle_err_inf"],
-                            )
-                    else:
-                        rec["oracle_err_inf"] = None
-                        rec["approx_err_inf"] = None
-                        rec["approx_rel_inf"] = None
-                    if proj.trace.status is RunStatus.DIVERGED:
-                        _finding(
-                            report.findings,
-                            rec,
-                            "diverged",
-                            certificate=rec["certificate"],
-                        )
-                    if config.store_traces:
-                        trace_name = f"trace_{rec_id}.csv"
-                        emit_trace_csv(
-                            proj, os.path.join(config.output_dir, trace_name)
-                        )
-                        rec["trace_csv"] = trace_name
-                except SpecviError as exc:
-                    _record_error(rec, exc)
-                report.records.append(rec)
-    statuses = [r.get("status") for r in report.records]
-    oracle_errs = [
-        r["oracle_err_inf"] for r in report.records if r.get("oracle_err_inf") is not None
+def _projected_run(inst, K, alpha) -> EvaluationResult:
+    """Projected VI on the instance's compression, certified from the
+    instance's rho(U^T P U) for K <= CERTIFICATE_SIZE_LIMIT."""
+    config = inst.config
+    proj = projected_vi(
+        inst.chain,
+        inst.compressed(K),
+        alpha,
+        tol=config.tol,
+        max_iter=config.max_iter,
+        compute_certificate=False,
+    )
+    cert = ConvergenceCertificate.of(alpha, inst.rho_A(K)) if K <= CERTIFICATE_SIZE_LIMIT else None
+    return replace(proj, certificate=cert)
+
+
+def _projected_fields(inst, t, rec, findings, proj: EvaluationResult) -> None:
+    """Status, certificate and LU-oracle check of a projected run, with its
+    fixed-point-mismatch and diverged findings."""
+    status = proj.trace.status
+    rec["status"] = status.value
+    rec["k_final"] = proj.trace.k_final
+    rec["certificate"] = _certificate_dict(proj.certificate)
+    if status is RunStatus.CONVERGED:
+        b = inst.basis(t.K).U.T @ inst.chain.c
+        oracle = direct_solve(inst.compressed(t.K), b, t.alpha)
+        rec["oracle_err_inf"] = float(np.abs(proj.v_fixed - oracle).max())
+        if rec["oracle_err_inf"] > 100 * inst.config.tol:
+            _finding(findings, rec, "fixed-point-mismatch", oracle_err_inf=rec["oracle_err_inf"])
+    else:
+        rec["oracle_err_inf"] = None
+        if status is RunStatus.DIVERGED:
+            _finding(findings, rec, "diverged", certificate=rec["certificate"])
+
+
+def _evaluate_record(inst, t, rec, findings):
+    config = inst.config
+    U = inst.basis(t.K)
+    proj = _projected_run(inst, t.K, t.alpha)
+    exact = inst.exact(t.alpha)
+    rec["final_residual"] = float(proj.trace.residuals_inf[-1]) if proj.trace.k_final else 0.0
+    rec["exact_status"] = exact.trace.status.value
+    rec["exact_k_final"] = exact.trace.k_final
+    _projected_fields(inst, t, rec, findings, proj)
+    rec["approx_err_inf"] = rec["approx_rel_inf"] = None
+    if proj.trace.status is RunStatus.CONVERGED:
+        err = approximation_error(exact.v_fixed, reconstruct(U, proj.v_fixed))
+        rec["approx_err_inf"] = err.err_inf
+        rec["approx_rel_inf"] = err.rel_inf
+    if config.store_traces:
+        rec["trace_csv"] = f"trace_{rec['id']}.csv"
+        emit_trace_csv(proj, os.path.join(config.output_dir, rec["trace_csv"]))
+
+
+def _compare_rates_record(inst, t, rec, findings):
+    config = inst.config
+    inst.basis(t.K)
+    rho_A = inst.rho_A(t.K)
+    # rho(P) before any iteration: at n > 500 it raises MatrixTooLargeError
+    rho_P = inst.rho_P
+    exact = inst.exact(t.alpha)
+    proj = _projected_run(inst, t.K, t.alpha)
+    r_exact = rate_estimate(exact.trace, config.rate_window, predicted_rate=t.alpha * rho_P)
+    r_proj = rate_estimate(proj.trace, config.rate_window, predicted_rate=t.alpha * rho_A)
+    rec["rho_P"] = rho_P
+    rec["rho_A"] = rho_A
+    rec["exact_rate"] = {"empirical": r_exact.empirical_rate, "predicted": r_exact.predicted_rate}
+    rec["projected_rate"] = {"empirical": r_proj.empirical_rate, "predicted": r_proj.predicted_rate}
+    rec["rates_match"] = bool(
+        abs(r_exact.empirical_rate - r_proj.empirical_rate)
+        <= 0.02 * max(r_exact.empirical_rate, 1e-30)
+    )
+    rec["status"] = "ok"
+    if config.store_traces:
+        for tag, res in (("proj", proj), ("exact", exact)):
+            name = f"trace_{rec['id']}_{tag}.csv"
+            emit_trace_csv(res, os.path.join(config.output_dir, name))
+        rec["trace_csv"] = f"trace_{rec['id']}_proj.csv"
+
+
+def _compression_targets(inst):
+    config = inst.config
+    return [_Target(f"K{K}", K, None, config.basis_strategy) for K in config.K_list]
+
+
+def _check_compression_record(inst, t, rec, findings):
+    chk = inst.radius_check(t.K)
+    rec["status"] = "ok"
+    _radius_fields(findings, rec, chk)
+
+
+def _gelfand_targets(inst):
+    """P, then one compression per K; a failed basis fails only its target."""
+    config = inst.config
+    return [
+        _Target("P" if K is None else f"A_K{K}", None, None, config.basis_strategy, K)
+        for K in (None,) + config.K_list
     ]
-    report.summary = {
-        "records": len(report.records),
-        "converged": statuses.count("converged"),
-        "diverged": statuses.count("diverged"),
-        "max_iter": statuses.count("max_iter"),
-        "errors": statuses.count("error"),
-        "max_oracle_err_inf": max(oracle_errs) if oracle_errs else None,
-        "findings": len(report.findings),
+
+
+def _gelfand_record(inst, t, rec, findings):
+    rec["target"] = t.suffix
+    if t.operand is None:
+        M, rho = inst.chain.P.entries, inst.rho_P
+    else:
+        M, rho = inst.compressed(t.operand).A, inst.rho_A(t.operand)
+    k_max = inst.config.gelfand_k_max
+    two = float(gelfand_sequence(M, k_max, "two_norm").values[-1])
+    inf = float(gelfand_sequence(M, k_max, "inf_norm").values[-1])
+    rec["rho_dense"] = rho
+    rec["gelfand_two_final"] = two
+    rec["gelfand_inf_final"] = inf
+    rec["err_two"] = abs(two - rho)
+    rec["err_inf"] = abs(inf - rho)
+    rec["status"] = "ok"
+
+
+def _proposition_targets(inst):
+    """The identity sub-case (K = n, U = I), then the (K, alpha) grid."""
+    return [_Target("identity", inst.mdp.n, None, "coordinate")] + _grid_targets(inst)
+
+
+def _proposition_record(inst, t, rec, findings):
+    """Empirically test the note's claims on one target.
+
+    Identity sub-case: A = P exactly, so the measured ratio must be 1; its
+    rho_A is measured directly, the claim's one airtight probe per
+    instance. Per (K, alpha): (1) measure rho(P) vs rho(U^T P U); (2) check
+    that powers of sqrt(alpha)*A vanish; (3) run projected VI and record
+    the status; (4) cross-check a converged fixed point against the LU
+    oracle.
+    """
+    config = inst.config
+    if t.suffix == "identity":
+        P = inst.chain.P
+        U_id = build_basis(P, t.K, strategy="coordinate")
+        chk = CompressionRadiusCheck.of(inst.rho_P, spectral_radius(compress(P, U_id).A).rho)
+        rec["rho_P"] = chk.rho_P
+        rec["rho_A"] = chk.rho_A
+        rec["ratio"] = chk.ratio
+        rec["identity_subcase"] = True
+        rec["status"] = "ok"
+        if chk.ratio != 1.0:
+            _finding(findings, rec, "identity-ratio-not-one", ratio=chk.ratio)
+        return
+    A = inst.compressed(t.K)
+    chk = inst.radius_check(t.K)
+    _radius_fields(findings, rec, chk)
+    root = math.sqrt(t.alpha)
+    van = power_vanishing_check(root * A.A, config.vanish_k_max, config.vanish_threshold)
+    rec["power_vanishes"] = van.vanishes
+    rec["vanish_first_k"] = van.first_k
+    if not van.vanishes and root * chk.rho_A < 1.0 - 1e-6:
+        _finding(findings, rec, "power-not-vanishing", final_norm=van.final_norm)
+    _projected_fields(inst, t, rec, findings, _projected_run(inst, t.K, t.alpha))
+
+
+def _status_counts(records):
+    statuses = [r["status"] for r in records]
+    return {s: statuses.count(s) for s in ("converged", "diverged", "max_iter")}
+
+
+def _radius_counts(findings):
+    kinds = [f["kind"] for f in findings]
+    return {
+        "radius_exceeds_one": kinds.count("compression-radius-exceeds-one"),
+        "radius_differs": kinds.count("compression-radius-differs"),
     }
 
 
-def _run_compare_rates(config: ExperimentConfig, report: ExperimentReport) -> None:
-    for inst in _iter_runs(config):
-        for K in config.K_list:
-            for alpha in config.alpha_list:
-                rec_id = f"t{inst.trial:04d}_K{K}_a{alpha:g}"
-                rec = _base_record(rec_id, inst, K, alpha, config.basis_strategy)
-                try:
-                    U = inst.basis(K)
-                    rho_A = inst.rho_A(K)
-                    exact = inst.exact(alpha)
-                    proj = projected_vi(
-                        inst.chain, U, alpha, tol=config.tol, max_iter=config.max_iter
-                    )
-                    rho_P = inst.rho_P
-                    r_exact = rate_estimate(
-                        exact.trace, config.rate_window, predicted_rate=alpha * rho_P
-                    )
-                    r_proj = rate_estimate(
-                        proj.trace, config.rate_window, predicted_rate=alpha * rho_A
-                    )
-                    rec["rho_P"] = rho_P
-                    rec["rho_A"] = rho_A
-                    rec["exact_rate"] = {
-                        "empirical": r_exact.empirical_rate,
-                        "predicted": r_exact.predicted_rate,
-                    }
-                    rec["projected_rate"] = {
-                        "empirical": r_proj.empirical_rate,
-                        "predicted": r_proj.predicted_rate,
-                    }
-                    rec["rates_match"] = bool(
-                        abs(r_exact.empirical_rate - r_proj.empirical_rate)
-                        <= 0.02 * max(r_exact.empirical_rate, 1e-30)
-                    )
-                    rec["status"] = "ok"
-                    if config.store_traces:
-                        for tag, res in (("proj", proj), ("exact", exact)):
-                            name = f"trace_{rec_id}_{tag}.csv"
-                            emit_trace_csv(res, os.path.join(config.output_dir, name))
-                        rec["trace_csv"] = f"trace_{rec_id}_proj.csv"
-                except SpecviError as exc:
-                    _record_error(rec, exc)
-                report.records.append(rec)
+def _evaluate_summary(records, findings):
+    oracle_errs = [r["oracle_err_inf"] for r in records if r.get("oracle_err_inf") is not None]
+    return {**_status_counts(records), "max_oracle_err_inf": max(oracle_errs, default=None)}
+
+
+def _compare_rates_summary(records, findings):
     devs = []
-    for r in report.records:
-        if r.get("status") == "ok":
+    for r in records:
+        if r["status"] == "ok":
             for key in ("exact_rate", "projected_rate"):
                 pred = r[key]["predicted"]
                 if pred > 0:
                     devs.append(abs(r[key]["empirical"] / pred - 1.0))
-    report.summary = {
-        "records": len(report.records),
-        "errors": sum(1 for r in report.records if r.get("status") == "error"),
-        "max_rate_rel_dev": max(devs) if devs else None,
-        "findings": len(report.findings),
-    }
+    return {"max_rate_rel_dev": max(devs, default=None)}
 
 
-def _run_check_compression(config: ExperimentConfig, report: ExperimentReport) -> None:
-    for inst in _iter_runs(config):
-        for K in config.K_list:
-            rec_id = f"t{inst.trial:04d}_K{K}"
-            rec = _base_record(rec_id, inst, K, None, config.basis_strategy)
-            try:
-                chk = inst.radius_check(K)
-                rec["status"] = "ok"
-                _radius_fields(report, rec, chk)
-            except SpecviError as exc:
-                _record_error(rec, exc)
-            report.records.append(rec)
-    ratios = [r["ratio"] for r in report.records if r.get("status") == "ok"]
-    report.summary = {
-        "records": len(report.records),
-        "errors": sum(1 for r in report.records if r.get("status") == "error"),
-        "ratio_min": min(ratios) if ratios else None,
-        "ratio_max": max(ratios) if ratios else None,
+def _check_compression_summary(records, findings):
+    ratios = [r["ratio"] for r in records if r["status"] == "ok"]
+    return {
+        "ratio_min": min(ratios, default=None),
+        "ratio_max": max(ratios, default=None),
         "ratio_mean": float(np.mean(ratios)) if ratios else None,
-        "radius_exceeds_one": sum(
-            1 for f in report.findings if f["kind"] == "compression-radius-exceeds-one"
-        ),
-        "radius_differs": sum(
-            1 for f in report.findings if f["kind"] == "compression-radius-differs"
-        ),
-        "findings": len(report.findings),
+        **_radius_counts(findings),
     }
 
 
-def _run_gelfand_study(config: ExperimentConfig, report: ExperimentReport) -> None:
-    k_max = config.gelfand_k_max
-    for inst in _iter_runs(config):
-        # target P, then one compression per K; a failed basis fails only its target
-        for K in (None,) + config.K_list:
-            tag = "P" if K is None else f"A_K{K}"
-            rec_id = f"t{inst.trial:04d}_{tag}"
-            rec = _base_record(rec_id, inst, None, None, config.basis_strategy)
-            rec["target"] = tag
-            try:
-                if K is None:
-                    M, rho = inst.chain.P.entries, inst.rho_P
-                else:
-                    M, rho = inst.compressed(K).A, inst.rho_A(K)
-                seq2 = gelfand_sequence(M, k_max, "two_norm")
-                seqi = gelfand_sequence(M, k_max, "inf_norm")
-                rec["rho_dense"] = rho
-                rec["gelfand_two_final"] = float(seq2.values[-1])
-                rec["gelfand_inf_final"] = float(seqi.values[-1])
-                rec["err_two"] = abs(float(seq2.values[-1]) - rho)
-                rec["err_inf"] = abs(float(seqi.values[-1]) - rho)
-                rec["status"] = "ok"
-            except SpecviError as exc:
-                _record_error(rec, exc)
-            report.records.append(rec)
-    errs = [
-        max(r["err_two"], r["err_inf"]) for r in report.records if r.get("status") == "ok"
-    ]
-    report.summary = {
-        "records": len(report.records),
-        "errors": sum(1 for r in report.records if r.get("status") == "error"),
-        "max_gelfand_err": max(errs) if errs else None,
-        "findings": len(report.findings),
-    }
+def _gelfand_summary(records, findings):
+    errs = [max(r["err_two"], r["err_inf"]) for r in records if r["status"] == "ok"]
+    return {"max_gelfand_err": max(errs, default=None)}
 
 
-def _run_proposition_suite(config: ExperimentConfig, report: ExperimentReport) -> None:
-    """Empirically test the note's claims on `trials` seeded instances.
-
-    Per instance and K: (1) measure rho(P) vs rho(U^T P U); (2) check that
-    powers of sqrt(alpha)*A vanish; (3) run projected VI per alpha and
-    record the status; (4) cross-check converged fixed points against the
-    LU oracle. An identity-basis sub-case (K = n, U = I) is always
-    included so the exact-equality claim gets one airtight probe per
-    instance.
-    """
-    for inst in _iter_runs(config):
-        chain = inst.chain
-        # identity sub-case: A = P exactly, so the measured ratio must be 1;
-        # its rho_A is measured directly, the claim's one airtight probe
-        rec_id = f"t{inst.trial:04d}_identity"
-        rec = _base_record(rec_id, inst, chain.n, None, "coordinate")
-        try:
-            U_id = build_basis(chain.P, chain.n, strategy="coordinate")
-            chk = CompressionRadiusCheck.of(
-                inst.rho_P, spectral_radius(compress(chain.P, U_id).A).rho
-            )
-            rec["rho_P"] = chk.rho_P
-            rec["rho_A"] = chk.rho_A
-            rec["ratio"] = chk.ratio
-            rec["identity_subcase"] = True
-            rec["status"] = "ok"
-            if chk.ratio != 1.0:
-                _finding(report.findings, rec, "identity-ratio-not-one", ratio=chk.ratio)
-        except SpecviError as exc:
-            _record_error(rec, exc)
-        report.records.append(rec)
-
-        for K in config.K_list:
-            for alpha in config.alpha_list:
-                rec_id = f"t{inst.trial:04d}_K{K}_a{alpha:g}"
-                rec = _base_record(rec_id, inst, K, alpha, config.basis_strategy)
-                try:
-                    U = inst.basis(K)
-                    A = inst.compressed(K)
-                    chk = inst.radius_check(K)
-                    _radius_fields(report, rec, chk)
-
-                    scaled = math.sqrt(alpha) * A.A
-                    van = power_vanishing_check(
-                        scaled, config.vanish_k_max, config.vanish_threshold
-                    )
-                    rec["power_vanishes"] = van.vanishes
-                    rec["vanish_first_k"] = van.first_k
-                    if not van.vanishes and math.sqrt(alpha) * chk.rho_A < 1.0 - 1e-6:
-                        _finding(
-                            report.findings,
-                            rec,
-                            "power-not-vanishing",
-                            final_norm=van.final_norm,
-                        )
-
-                    proj = projected_vi(
-                        chain, U, alpha, tol=config.tol, max_iter=config.max_iter
-                    )
-                    rec["status"] = proj.trace.status.value
-                    rec["k_final"] = proj.trace.k_final
-                    rec["certificate"] = _certificate_dict(proj.certificate)
-                    if proj.trace.status is RunStatus.CONVERGED:
-                        oracle = direct_solve(A, U.U.T @ chain.c, alpha)
-                        rec["oracle_err_inf"] = float(np.abs(proj.v_fixed - oracle).max())
-                        if rec["oracle_err_inf"] > 100 * config.tol:
-                            _finding(
-                                report.findings,
-                                rec,
-                                "fixed-point-mismatch",
-                                oracle_err_inf=rec["oracle_err_inf"],
-                            )
-                    else:
-                        rec["oracle_err_inf"] = None
-                        if proj.trace.status is RunStatus.DIVERGED:
-                            _finding(
-                                report.findings,
-                                rec,
-                                "diverged",
-                                certificate=rec["certificate"],
-                            )
-                except SpecviError as exc:
-                    _record_error(rec, exc)
-                report.records.append(rec)
-
-    sweep = [r for r in report.records if not r.get("identity_subcase")]
-    ratios = sorted(r["ratio"] for r in sweep if r.get("ratio") is not None)
-    statuses = [r.get("status") for r in sweep]
-    report.summary = {
-        "records": len(report.records),
-        "converged": statuses.count("converged"),
-        "diverged": statuses.count("diverged"),
-        "max_iter": statuses.count("max_iter"),
-        "errors": [r.get("status") for r in report.records].count("error"),
+def _proposition_summary(records, findings):
+    ratios = sorted(
+        r["ratio"]
+        for r in records
+        if not r.get("identity_subcase") and r.get("ratio") is not None
+    )
+    return {
+        **_status_counts(records),
         "ratio_distribution": {
             "count": len(ratios),
             "min": ratios[0] if ratios else None,
             "max": ratios[-1] if ratios else None,
             "mean": float(np.mean(ratios)) if ratios else None,
-            "quartiles": [
-                float(np.percentile(ratios, q)) for q in (25, 50, 75)
-            ]
+            "quartiles": [float(np.percentile(ratios, q)) for q in (25, 50, 75)]
             if ratios
             else None,
         },
-        "radius_exceeds_one": sum(
-            1 for f in report.findings if f["kind"] == "compression-radius-exceeds-one"
-        ),
-        "radius_differs": sum(
-            1 for f in report.findings if f["kind"] == "compression-radius-differs"
-        ),
-        "findings": len(report.findings),
+        **_radius_counts(findings),
     }
 
 
-_RUNNERS = {
-    "evaluate": _run_evaluate,
-    "compare_rates": _run_compare_rates,
-    "check_compression": _run_check_compression,
-    "gelfand_study": _run_gelfand_study,
-    "proposition_suite": _run_proposition_suite,
+class _Kind(NamedTuple):
+    targets: Callable  # inst -> the trial's targets, in record order
+    record: Callable  # (inst, target, rec, findings) -> None; fills rec, may raise
+    summary: Callable  # (records, findings) -> the kind's summary keys
+
+
+_KINDS = {
+    "evaluate": _Kind(_grid_targets, _evaluate_record, _evaluate_summary),
+    "compare_rates": _Kind(_grid_targets, _compare_rates_record, _compare_rates_summary),
+    "check_compression": _Kind(
+        _compression_targets, _check_compression_record, _check_compression_summary
+    ),
+    "gelfand_study": _Kind(_gelfand_targets, _gelfand_record, _gelfand_summary),
+    "proposition_suite": _Kind(_proposition_targets, _proposition_record, _proposition_summary),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the configured experiment, write report.json, return the report."""
+    """Execute the configured experiment, write report.json, return the report.
+
+    Records come in a deterministic order: trial, then the kind's targets.
+    """
     report = _new_report(config)
-    _RUNNERS[config.kind](config, report)
+    kind = _KINDS[config.kind]
+    for trial in range(config.trials):
+        inst = Instance(config, trial)
+        for t in kind.targets(inst):
+            rec = _base_record(inst, t)
+            try:
+                kind.record(inst, t, rec, report.findings)
+            except SpecviError as exc:
+                _record_error(rec, exc)
+            report.records.append(rec)
+    records = report.records
+    report.summary = {
+        "records": len(records),
+        "errors": [r["status"] for r in records].count("error"),
+        **kind.summary(records, report.findings),
+        "findings": len(report.findings),
+    }
     report.write(os.path.join(config.output_dir, "report.json"))
     return report
 

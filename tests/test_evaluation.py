@@ -24,7 +24,13 @@ from specvi.evaluation import (
     series_eval,
 )
 from specvi.mdp import InducedChain, Policy, induce_chain, make_random_mdp, make_symmetric_walk, validate_stochastic
-from specvi.spectral import OrthonormalBasis, build_basis, compress, spectral_radius
+from specvi.spectral import (
+    CompressedOperator,
+    OrthonormalBasis,
+    build_basis,
+    compress,
+    spectral_radius,
+)
 
 
 def walk_chain(n, seed, self_loop=0.2):
@@ -124,6 +130,28 @@ class TestProjectedVi:
         U = build_basis(np.eye(4), 2, strategy="coordinate")
         with pytest.raises(DimensionMismatchError):
             projected_vi(chain, U, 0.5)
+        with pytest.raises(DimensionMismatchError):
+            projected_vi(chain, compress(np.eye(4), U), 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99])
+    def test_compressed_operator_matches_basis(self, alpha):
+        chain = random_chain(30, 2)
+        U = build_basis(chain.P, 5, strategy="random_orthonormal", seed=3)
+        from_basis = projected_vi(chain, U, alpha, tol=1e-10)
+        from_op = projected_vi(chain, compress(chain.P, U), alpha, tol=1e-10)
+        assert from_op.v_fixed.tobytes() == from_basis.v_fixed.tobytes()
+        for name in ("residuals_inf", "residuals_2"):
+            got, want = getattr(from_op.trace, name), getattr(from_basis.trace, name)
+            assert got.tobytes() == want.tobytes()
+        assert from_op.trace.k_final == from_basis.trace.k_final
+        assert from_op.trace.status is from_basis.trace.status
+        assert from_op.certificate is not None
+        assert from_op.certificate == from_basis.certificate
+
+    def test_compressed_operator_needs_its_basis(self):
+        chain = random_chain(2, 6)
+        with pytest.raises(InvalidParameterError):
+            projected_vi(chain, CompressedOperator(chain.P.entries), 0.5)
 
     def test_fixed_point_property(self):
         chain = walk_chain(30, 9)

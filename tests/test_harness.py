@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from specvi import harness, spectral
+from specvi import evaluation, harness, spectral
 from specvi.cli import main as cli_main
 from specvi.errors import ConfigError
 from specvi.evaluation import EvaluationResult, IterationTrace, RunStatus, exact_vi
@@ -176,6 +176,21 @@ class TestCompareRates:
         for rec in report.records:
             assert rec["rates_match"]
 
+    def test_too_large_P_fails_before_iterating(self, tmp_path, monkeypatch):
+        exact = TestInstanceQuantitiesOnce.count_calls(monkeypatch, harness, "exact_vi")
+        cfg = config(
+            tmp_path,
+            kind="compare_rates",
+            mdp_source={"generator": "random", "n": 600, "m": 1},
+            K_list=[4],
+            alpha_list=[0.5],
+            basis_strategy="random_orthonormal",
+            trials=1,
+        )
+        report = run_experiment(cfg)
+        assert [r["error_type"] for r in report.records] == ["MatrixTooLargeError"]
+        assert len(exact) == 0
+
 
 class TestCheckCompression:
     def test_symmetric_class_never_expands(self, tmp_path):
@@ -272,7 +287,10 @@ class TestInstanceQuantitiesOnce:
     def test_one_sorted_schur_per_trial(self, tmp_path, monkeypatch):
         schur = self.count_calls(monkeypatch, spectral, "_sorted_real_schur")
         bases = self.count_calls(monkeypatch, harness, "build_basis")
-        radii = self.count_calls(monkeypatch, harness, "spectral_radius")
+        # every site a compression or a radius can be computed through
+        sites = (harness, evaluation, spectral)
+        radii = [self.count_calls(monkeypatch, m, "spectral_radius") for m in sites]
+        compressions = [self.count_calls(monkeypatch, m, "compress") for m in sites]
         cfg = config(
             tmp_path,
             kind="proposition_suite",
@@ -287,8 +305,11 @@ class TestInstanceQuantitiesOnce:
         assert len(schur) == 2
         # per trial: the identity basis, then one schur_dominant basis per K
         assert len(bases) == 2 * (1 + 2)
-        # per trial: rho(P), the identity's rho_A, then one rho_A per K
-        assert len(radii) == 2 * (1 + 1 + 2)
+        # per trial: rho(P), the identity's rho_A, then one rho_A per K;
+        # the projected runs reuse the instance's compression and rho_A
+        assert sum(map(len, radii)) == 2 * (1 + 1 + 2)
+        # per trial: the identity, then one compression per K
+        assert sum(map(len, compressions)) == 2 * (1 + 2)
 
     def test_exact_vi_once_per_alpha(self, tmp_path, monkeypatch):
         exact = self.count_calls(monkeypatch, harness, "exact_vi")
@@ -488,7 +509,19 @@ class TestCli:
         # missing output_dir
         assert cli_main(["evaluate", "--config", str(cfg)]) == 1
 
-    @pytest.mark.parametrize("patch", [{"K_list": "ab"}, {"seed": -1}])
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"K_list": "ab"},
+            {"seed": -1},
+            {"mdp_source": {"generator": "random", "n": 10.7, "m": 1}},
+            {"mdp_source": {"generator": "random", "n": True, "m": 1}},
+            {"mdp_source": {"generator": "random", "n": 5, "m": 2.0}},
+            {"mdp_source": {"generator": "symmetric_walk", "n": "5"}},
+            {"mdp_source": {"generator": "symmetric_walk", "n": 5, "self_loop": "0.1"}},
+            {"mdp_source": {"path": 5}},
+        ],
+    )
     def test_bad_config_value_is_error_line(self, tmp_path, capsys, patch):
         cfg = tmp_path / "bad.json"
         body = {
