@@ -33,7 +33,7 @@ DENSE_EIG_LIMIT = 500
 #: Orthonormality tolerance on ||U^T U - I||_max.
 ORTHONORMAL_TOL = 1e-12
 
-#: Rescaling window for scaled power accumulation in gelfand_sequence.
+#: Rescaling window for the scaled power chain of the Gelfand norms.
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
 
@@ -400,6 +400,32 @@ def compress(P, U: OrthonormalBasis) -> CompressedOperator:
     return CompressedOperator(A, source=M, basis=U)
 
 
+def _scaled_powers(M: np.ndarray, k_max: int):
+    """Yield (k, B, log_scale) with A^k = exp(log_scale) * B for k = 1..k_max.
+
+    B is A itself at k = 1. Each later B is the previous one times A,
+    divided by its peak |entry| whenever that peak leaves
+    [_RESCALE_LO, _RESCALE_HI], so it is exactly zero or has its peak in
+    that window. A non-finite product raises PowerOverflowError with its k.
+    """
+    B = M.copy()
+    log_scale = 0.0
+    for k in range(1, k_max + 1):
+        yield k, B, log_scale
+        if k < k_max:
+            B = B @ M
+            peak = float(np.abs(B).max())
+            if not math.isfinite(peak):
+                raise PowerOverflowError(f"A^{k + 1} left the representable range", k=k + 1)
+            if peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
+                B = B / peak
+                log_scale += math.log(peak)
+
+
+def _gelfand_value(nrm: float, log_scale: float, k: int) -> float:
+    return math.exp((log_scale + math.log(nrm)) / k)
+
+
 def gelfand_sequence(A, k_max: int, norm_kind: str = "two_norm") -> GelfandSequence:
     """Norm sequence ||A^k||^(1/k) for k = 1..k_max by repeated multiplication.
 
@@ -417,24 +443,46 @@ def gelfand_sequence(A, k_max: int, norm_kind: str = "two_norm") -> GelfandSeque
         )
     norm = two_norm if norm_kind == "two_norm" else inf_norm
     values = np.zeros(k_max)
-    B = M.copy()
-    log_scale = 0.0
-    for k in range(1, k_max + 1):
+    for k, B, log_scale in _scaled_powers(M, k_max):
         nrm = norm(B)
         if not math.isfinite(nrm):
             raise PowerOverflowError(f"||A^{k}|| is not finite", k=k)
         if nrm == 0.0:
             break  # nilpotent from here on; later powers stay zero
-        values[k - 1] = math.exp((log_scale + math.log(nrm)) / k)
-        if k < k_max:
-            B = B @ M
-            peak = float(np.abs(B).max())
-            if not math.isfinite(peak):
-                raise PowerOverflowError(f"A^{k + 1} left the representable range", k=k + 1)
-            if peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
-                B = B / peak
-                log_scale += math.log(peak)
+        values[k - 1] = _gelfand_value(nrm, log_scale, k)
     return GelfandSequence(norm_kind, values)
+
+
+def gelfand_finals(A, k_max: int) -> tuple[float, float]:
+    """||A^k_max||^(1/k_max) in the two-norm and the inf-norm, from one power chain.
+
+    Bit for bit the last values of gelfand_sequence(A, k_max, kind) for
+    both kinds, with the same PowerOverflowError where either raises. Only
+    A itself can have a non-finite or falsely zero norm (its Gram matrix
+    can overflow or underflow): every later power is exactly zero or has
+    its peak |entry| in the rescaling window, so its norms are finite and
+    positive. The norms are therefore taken of A and of the last power
+    only, and the chain stops at the first zero power.
+    """
+    M = square_matrix(A)
+    if k_max < 1:
+        raise InvalidParameterError("k_max must be >= 1")
+    norms = (two_norm, inf_norm)
+    live = []
+    for norm in norms:
+        nrm = norm(M)
+        if not math.isfinite(nrm):
+            raise PowerOverflowError("||A^1|| is not finite", k=1)
+        live.append(nrm > 0.0)
+    if not any(live):
+        return 0.0, 0.0
+    for _, B, log_scale in _scaled_powers(M, k_max):
+        if not B.any():
+            return 0.0, 0.0
+    return tuple(
+        _gelfand_value(norm(B), log_scale, k_max) if alive else 0.0
+        for norm, alive in zip(norms, live)
+    )
 
 
 def power_vanishing_check(A, k_max: int, threshold: float) -> VanishingCheck:

@@ -105,6 +105,16 @@ CASES = {
         trials=2,
         basis_strategy="schur_dominant",
     ),
+    # K=1 compresses to [[0]], so both finals stop at a zero norm; the
+    # K>=2 compressions (rho 0.08-0.37) take the downward rescale
+    "gelfand_study_edges": dict(
+        kind="gelfand_study",
+        mdp_source={"generator": "symmetric_walk", "n": 20, "self_loop": 0.0},
+        K_list=[1, 2, 3, 5],
+        trials=2,
+        basis_strategy="coordinate",
+        gelfand_k_max=400,
+    ),
     "gelfand_study_split": dict(
         kind="gelfand_study",
         mdp_source=RANDOM_40,

@@ -324,6 +324,22 @@ class TestInstanceQuantitiesOnce:
         run_experiment(cfg)
         assert len(exact) == 2 * 2
 
+    def test_gelfand_norms_of_one_power_chain(self, tmp_path, monkeypatch):
+        two_norms = self.count_calls(monkeypatch, spectral, "two_norm")
+        cfg = config(
+            tmp_path,
+            kind="gelfand_study",
+            mdp_source={"generator": "random", "n": 20, "m": 2},
+            K_list=[2, 5],
+            basis_strategy="random_orthonormal",
+            gelfand_k_max=50,
+        )
+        report = run_experiment(cfg)
+        assert report.summary["errors"] == 0
+        assert len(report.records) == 2 * (1 + 2)
+        # per record: of A itself, then of its last power
+        assert len(two_norms) <= 2 * len(report.records)
+
     def test_failed_basis_is_retried_not_cached(self, tmp_path):
         cfg = config(
             tmp_path,

@@ -29,6 +29,7 @@ from specvi.spectral import (
     build_basis,
     check_compression_radius,
     compress,
+    gelfand_finals,
     gelfand_sequence,
     inf_norm,
     power_iteration_radius,
@@ -268,6 +269,73 @@ class TestGelfand:
             gelfand_sequence(np.eye(2), 0, "two_norm")
         with pytest.raises(InvalidParameterError):
             gelfand_sequence(np.eye(2), 5, "fro")
+        for k_max in (0, -3):
+            with pytest.raises(InvalidParameterError, match="k_max must be >= 1"):
+                gelfand_finals(np.eye(2), k_max)
+        for M in (np.ones((2, 3)), np.ones(4)):
+            with pytest.raises(NonSquareError):
+                gelfand_sequence(M, 5, "two_norm")
+            with pytest.raises(NonSquareError):
+                gelfand_finals(M, 5)
+
+    @staticmethod
+    def outcome(fn):
+        """Bit patterns of fn()'s two finals, or the PowerOverflowError it raises."""
+        try:
+            return tuple(float(v).hex() for v in fn())
+        except PowerOverflowError as exc:
+            return ("raises", exc.k, str(exc))
+
+    def assert_finals_match_sequences(self, M, k_max):
+        # the two-norm sequence first: where both raise, its error is reported
+        want = self.outcome(
+            lambda: [gelfand_sequence(M, k_max, kind).values[-1] for kind in ("two_norm", "inf_norm")]
+        )
+        assert self.outcome(lambda: gelfand_finals(M, k_max)) == want
+
+    @pytest.mark.parametrize(
+        "M, k_max",
+        [
+            (np.array([[1e-170]]), 50),  # Gram underflows: two-norm 0, inf-norm not
+            (2.0 * np.eye(3), 1500),  # upward rescale
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), 1),
+            (np.array([[np.inf]]), 5),
+            (np.array([[np.nan]]), 5),
+            (np.array([[1e200]]), 5),  # Gram overflows at k = 1
+            (np.array([[1e200]]), 1),
+            (np.zeros((3, 3)), 4),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), 1),
+        ],
+        ids=[
+            "gram-underflow",
+            "2I-k1500",
+            "jordan-k1",
+            "inf",
+            "nan",
+            "1e200",
+            "1e200-k1",
+            "zero",
+            "nilpotent-k1",
+        ],
+    )
+    def test_finals_match_sequence_edges(self, M, k_max):
+        self.assert_finals_match_sequences(M, k_max)
+
+    @pytest.mark.parametrize("exponent", [-200, -160, -100, -40, 0, 40, 100, 150, 200])
+    def test_finals_match_sequence_random(self, exponent):
+        rng = np.random.default_rng(1000 + exponent)
+        for n in (1, 2, 5, 9):
+            M = rng.standard_normal((n, n)) * 10.0**exponent
+            for k_max in (1, 2, 7, 120, 401):
+                self.assert_finals_match_sequences(M, k_max)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_finals_match_sequence_nilpotent(self, n):
+        # strictly upper triangular: A^k is exactly zero from some k <= n on
+        rng = np.random.default_rng(n)
+        M = np.triu(rng.standard_normal((n, n)), 1)
+        for k_max in range(1, n + 3):
+            self.assert_finals_match_sequences(M, k_max)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_converges_to_rho_at_k200(self, seed):
