@@ -37,6 +37,9 @@ DEFAULT_MAX_ITER = 100000
 ITERATE_STORAGE_CAP = 1000
 
 #: Certificates (rho of the iteration matrix) are computed up to this size.
+#: It stays below spectral.DENSE_EIG_LIMIT: a certificate is an extra dense
+#: eigvals on a projected run that needs none to iterate, and raising the
+#: limit would add certificates to the reports of runs with 500 < K.
 CERTIFICATE_SIZE_LIMIT = 500
 
 
@@ -117,16 +120,15 @@ def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
     cap = min(max_iter, ITERATE_STORAGE_CAP) if store_iterates else 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, res_inf, res_2, k_final, code, iter_buf, stored = kernels.affine_iteration(
-            kernels.as_kernel_matrix(A),
-            kernels.as_kernel_vector(b),
-            float(alpha),
-            float(tol),
-            int(max_iter),
-            kernels.DIVERGENCE_GUARD,
-            cap,
-        )
+    v, res_inf, res_2, k_final, code, iter_buf, stored = kernels.affine_iteration(
+        kernels.as_kernel_matrix(A),
+        kernels.as_kernel_vector(b),
+        float(alpha),
+        float(tol),
+        int(max_iter),
+        kernels.DIVERGENCE_GUARD,
+        cap,
+    )
     iterates = None
     if store_iterates and k_final <= ITERATE_STORAGE_CAP and stored >= k_final + 1:
         iterates = iter_buf[: k_final + 1].copy()
@@ -218,10 +220,9 @@ def series_eval(A, b, alpha, k: int) -> np.ndarray:
             f"incompatible shapes: A {M.shape}, b {vec.shape}"
         )
     a = float(as_discount(alpha))
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, bad_step = kernels.horner_partial_sum(
-            kernels.as_kernel_matrix(M), vec, a, int(k), kernels.DIVERGENCE_GUARD
-        )
+    x, bad_step = kernels.horner_partial_sum(
+        kernels.as_kernel_matrix(M), vec, a, int(k), kernels.DIVERGENCE_GUARD
+    )
     if bad_step >= 0:
         raise PowerOverflowError(
             f"partial sum exceeded the divergence guard at sweep {bad_step}",

@@ -2,26 +2,39 @@
 
 The affine fixed-point loop, the Horner partial-sum loop and the
 power-vanishing scan dominate runtime (up to 1e5 small matrix-vector
-products per run). Each step is one BLAS product into a preallocated
-buffer (``np.dot(..., out=)``) followed by in-place ufuncs and array
-reductions; the buffers are swapped rather than reallocated, so a step
-allocates nothing. ``perfbench/kernel_sweep.py`` times them across K.
+products per run). At the sizes the harness runs, numpy's cost per call
+outweighs the arithmetic, so the affine and Horner kernels test their
+stopping rule once per chunk of steps, not once per step. A chunk of c
+steps writes its iterates into rows 1..c of a (c+1) x K buffer whose row
+0 is the chunk's start, at three calls a step: the BLAS product
+``np.dot(A, W[j], out=W[j+1])``, the multiply by alpha and the add of b.
+A few array calls then give every row's residuals, iterate norm and stop
+test at once, and the kernel keeps the steps up to the first row that
+stops. Chunks grow from FIRST_CHUNK to MAX_CHUNK steps (8, 16, 32, 64),
+so a short run computes few steps past its stop. Those steps run under
+``np.errstate``: their overflow or NaN reaches no result and raises no
+warning. The power scan still tests each power as it is formed; stacking
+a chunk of powers measured slower at K >= 60.
+``perfbench/kernel_sweep.py`` times the kernels across K.
 
-The results are bit-identical to the plain per-element loop
-``x_i = b_i + alpha*w_i`` with running max/sum reductions, which is the
-reference the tests hold them to. That fixes two details. The squared
-residual sum must be accumulated strictly left to right from 0.0, as
-``np.add.accumulate`` (what ``np.cumsum`` runs) does; ``np.sum`` and
-``d @ d`` use pairwise or blocked summation and round differently, which
-would change the ``residuals_2`` trace column. And every max reduction
-starts from 0.0 as the loop's did, so empty (K = 0) input still works.
+Only the stopping test is blocked. Each step's arithmetic is the one a
+per-step loop does (unlike s-step methods, which block it too and round
+differently), so the results are bit-identical to the plain per-element
+loop ``x_i = b_i + alpha*w_i`` with running max/sum reductions, which is
+the reference the tests hold them to. That fixes the reductions. Each
+row's squared residual sum is accumulated strictly left to right from
+0.0, by ``np.add.accumulate`` along the rows of a buffer whose column 0
+is 0.0; ``np.sum`` and ``d @ d`` use pairwise or blocked summation and
+round differently, which would change the ``residuals_2`` trace column.
+Max reductions are exact in any order, and each starts from 0.0 as the
+loop's did, so empty (K = 0) input still works. On one row the
+divergence test comes before the convergence test, as in the loop.
 
-On NaN the two differ: the max reductions propagate it, so a NaN
-anywhere in an iterate or a power ends the run as diverged / overflowed
-instead of passing as converged.
+The max reductions propagate NaN, as ``np.maximum`` does (the test
+references take a NaN the same way), so a NaN anywhere in an iterate or
+a power ends the run as diverged / overflowed instead of passing as
+converged.
 """
-
-import math
 
 import numpy as np
 
@@ -35,6 +48,12 @@ DIVERGENCE_GUARD = 1e12
 #: Initial length of the residual buffers; they double when full.
 RESIDUAL_CHUNK = 64
 
+#: Steps run between two stopping tests: the first chunk has FIRST_CHUNK
+#: steps and each later one twice as many as the one before, up to
+#: MAX_CHUNK.
+FIRST_CHUNK = 8
+MAX_CHUNK = 64
+
 #: Recorded in benchmark manifests; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
 
@@ -45,6 +64,26 @@ def _grow(buf, size):
     return out
 
 
+def _chunks(total):
+    """Yield (start, length) of the chunks that cover steps 0..total-1."""
+    start, size = 0, FIRST_CHUNK
+    while start < total:
+        length = min(size, total - start)
+        yield start, length
+        start += length
+        size = min(2 * size, MAX_CHUNK)
+
+
+def _affine_steps(A, b, alpha, W, c):
+    """Fill rows 1..c of W by c steps x <- b + alpha*(A @ x) from row 0."""
+    prev = W[0]
+    for x in W[1 : c + 1]:
+        np.dot(A, prev, out=x)
+        np.multiply(x, alpha, out=x)
+        np.add(x, b, out=x)
+        prev = x
+
+
 def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     """Run v <- b + alpha*(A @ v) from v = 0 until the stopping rule fires.
 
@@ -52,51 +91,56 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     res_* hold one entry per executed step, iter_buf rows 0..stored-1 are
     the iterates v^(0)..v^(stored-1) (row 0 is the zero start) and status
     is one of the STATUS_* codes. The residual buffers grow by doubling,
-    so their size follows k_final rather than max_iter.
+    so their size follows k_final rather than max_iter. Overflow raises
+    no warning; it ends the run as STATUS_DIVERGED.
     """
     K = b.shape[0]
-    v = np.zeros(K)
-    x = np.empty(K)
-    d = np.empty(K)
-    # sq[0] stays 0.0, the loop's starting value of the running sum.
-    sq = np.zeros(K + 1)
-    sq_tail = sq[1:]
-    partial = np.empty(K + 1)
+    width = min(MAX_CHUNK, max_iter)
+    # Row 0 holds the chunk's start iterate, row j its j-th step.
+    W = np.zeros((width + 1, K))
+    d = np.empty((width, K))
+    # Column 0 stays 0.0, the starting value of each row's running sum.
+    sq = np.zeros((width, K + 1))
+    partial = np.empty((width, K + 1))
     capacity = min(max_iter, RESIDUAL_CHUNK)
     res_inf = np.empty(capacity)
     res_2 = np.empty(capacity)
-    rows = iter_cap + 1 if iter_cap > 0 else 1
-    iter_buf = np.zeros((rows, K))
+    cap_rows = iter_cap + 1 if iter_cap > 0 else 1
+    iter_buf = np.zeros((cap_rows, K))
     stored = 1 if iter_cap > 0 else 0
     status = STATUS_MAX_ITER
-    k_final = 0
-    for step in range(max_iter):
-        np.dot(A, v, out=x)
-        np.multiply(x, alpha, out=x)
-        np.add(x, b, out=x)
-        np.subtract(x, v, out=d)
-        np.abs(d, out=d)
-        r_inf = np.maximum.reduce(d, initial=0.0)
-        np.multiply(d, d, out=sq_tail)
-        r_sq = np.add.accumulate(sq, out=partial)[-1]
-        v_norm = np.maximum.reduce(np.abs(x, out=d), initial=0.0)
-        v, x = x, v
-        if step == capacity:
-            capacity = min(2 * capacity, max_iter)
-            res_inf = _grow(res_inf, capacity)
-            res_2 = _grow(res_2, capacity)
-        res_inf[step] = r_inf
-        res_2[step] = math.sqrt(r_sq)
-        k_final = step + 1
-        if stored > 0 and step + 1 <= iter_cap:
-            iter_buf[step + 1] = v
-            stored = step + 2
-        if v_norm > guard or r_inf != r_inf or v_norm != v_norm:
-            status = STATUS_DIVERGED
-            break
-        if r_inf <= tol:
-            status = STATUS_CONVERGED
-            break
+    k_final = n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, c in _chunks(max_iter):
+            if k0:
+                W[0] = W[n]
+            _affine_steps(A, b, alpha, W, c)
+            steps, diff = W[1 : c + 1], d[:c]
+            np.abs(np.subtract(steps, W[:c], out=diff), out=diff)
+            r_inf = np.maximum.reduce(diff, axis=1, initial=0.0)
+            np.multiply(diff, diff, out=sq[:c, 1:])
+            r_sq = np.add.accumulate(sq[:c], axis=1, out=partial[:c])[:, -1]
+            v_norm = np.maximum.reduce(np.abs(steps, out=diff), axis=1, initial=0.0)
+            # not (v_norm <= guard) is v_norm > guard or v_norm is NaN.
+            diverged = ~(v_norm <= guard) | (r_inf != r_inf)
+            stop = diverged | (r_inf <= tol)
+            j = int(stop.argmax())
+            n = j + 1 if stop[j] else c
+            k_final = k0 + n
+            if k_final > capacity:
+                capacity = min(2 * capacity, max_iter)
+                res_inf = _grow(res_inf, capacity)
+                res_2 = _grow(res_2, capacity)
+            res_inf[k0:k_final] = r_inf[:n]
+            np.sqrt(r_sq[:n], out=res_2[k0:k_final])
+            if stored > 0 and k0 < iter_cap:
+                last = min(k_final, iter_cap)
+                iter_buf[k0 + 1 : last + 1] = W[1 : last - k0 + 1]
+                stored = last + 1
+            if stop[j]:
+                status = STATUS_DIVERGED if diverged[j] else STATUS_CONVERGED
+                break
+    v = W[n].copy()
     return v, res_inf[:k_final], res_2[:k_final], k_final, status, iter_buf, stored
 
 
@@ -106,21 +150,27 @@ def horner_partial_sum(A, b, alpha, k, guard):
     Each sweep applies x <- b + alpha*(A @ x), the same update as the
     iteration kernel, so the two stay bit-for-bit comparable. Returns
     (x, bad_step); bad_step is -1 on success, else the 1-based sweep at
-    which the guard tripped (a NaN trips it too).
+    which the guard tripped (a NaN trips it too). Overflow raises no
+    warning.
     """
     K = b.shape[0]
-    x = b.copy()
-    y = np.empty(K)
-    scratch = np.empty(K)
-    for step in range(k):
-        np.dot(A, x, out=y)
-        np.multiply(y, alpha, out=y)
-        np.add(y, b, out=y)
-        x, y = y, x
-        x_norm = np.maximum.reduce(np.abs(x, out=scratch), initial=0.0)
-        if x_norm > guard or x_norm != x_norm:
-            return x, step + 1
-    return x, -1
+    width = min(MAX_CHUNK, k)
+    W = np.empty((width + 1, K))
+    W[0] = b
+    scratch = np.empty((width, K))
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, c in _chunks(k):
+            if k0:
+                W[0] = W[n]
+            _affine_steps(A, b, alpha, W, c)
+            x_abs = np.abs(W[1 : c + 1], out=scratch[:c])
+            bad = ~(np.maximum.reduce(x_abs, axis=1, initial=0.0) <= guard)
+            j = int(bad.argmax())
+            if bad[j]:
+                return W[j + 1].copy(), k0 + j + 1
+            n = c
+    return W[n].copy(), -1
 
 
 def power_max_norms(A, k_max, threshold):

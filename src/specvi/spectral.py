@@ -28,7 +28,9 @@ from .errors import (
 from .mdp import DiscountFactor, StochasticMatrix, as_discount
 
 #: Above this size the dense eigensolver refuses; use an explicit estimator.
-DENSE_EIG_LIMIT = 500
+#: It is the documented scope, n <= 2000, where one dense eigvals takes
+#: about 3 s.
+DENSE_EIG_LIMIT = 2000
 
 #: Orthonormality tolerance on ||U^T U - I||_max.
 ORTHONORMAL_TOL = 1e-12
@@ -205,15 +207,16 @@ class CompressionRadiusCheck:
 def spectral_radius(M) -> SpectralEstimate:
     """Exact spectral radius max_i |lambda_i(M)| via the dense eigensolver.
 
-    Restricted to n <= 500; for larger matrices request an estimator
-    explicitly (power_iteration_radius or gelfand_sequence).
+    Restricted to n <= DENSE_EIG_LIMIT (2000, the documented scope); for
+    larger matrices request an estimator explicitly
+    (power_iteration_radius or gelfand_sequence).
     """
     A = square_matrix(M)
     n = A.shape[0]
     if n > DENSE_EIG_LIMIT:
         raise MatrixTooLargeError(
-            f"n={n} exceeds the dense limit {DENSE_EIG_LIMIT}; use "
-            "power_iteration_radius or gelfand_sequence instead"
+            f"n={n} exceeds the dense limit {DENSE_EIG_LIMIT}, the documented "
+            "scope; use power_iteration_radius or gelfand_sequence instead"
         )
     try:
         eigs = np.linalg.eigvals(A)

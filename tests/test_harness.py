@@ -178,10 +178,12 @@ class TestCompareRates:
 
     def test_too_large_P_fails_before_iterating(self, tmp_path, monkeypatch):
         exact = TestInstanceQuantitiesOnce.count_calls(monkeypatch, harness, "exact_vi")
+        # a limit below n stands in for an n past the real one (2000)
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 20)
         cfg = config(
             tmp_path,
             kind="compare_rates",
-            mdp_source={"generator": "random", "n": 600, "m": 1},
+            mdp_source={"generator": "random", "n": 21, "m": 1},
             K_list=[4],
             alpha_list=[0.5],
             basis_strategy="random_orthonormal",
@@ -193,6 +195,20 @@ class TestCompareRates:
 
 
 class TestCheckCompression:
+    def test_runs_past_n_500(self, tmp_path):
+        # the dense radius covers the documented scope, n <= 2000
+        cfg = config(
+            tmp_path,
+            kind="check_compression",
+            mdp_source={"generator": "random", "n": 501, "m": 1},
+            basis_strategy="random_orthonormal",
+            K_list=[2],
+            trials=1,
+        )
+        report = run_experiment(cfg)
+        assert report.summary["errors"] == 0
+        assert report.records[0]["rho_P"] == pytest.approx(1.0, abs=1e-10)
+
     def test_symmetric_class_never_expands(self, tmp_path):
         cfg = config(
             tmp_path,
@@ -305,9 +321,10 @@ class TestInstanceQuantitiesOnce:
         assert len(schur) == 2
         # per trial: the identity basis, then one schur_dominant basis per K
         assert len(bases) == 2 * (1 + 2)
-        # per trial: rho(P), the identity's rho_A, then one rho_A per K;
-        # the projected runs reuse the instance's compression and rho_A
-        assert sum(map(len, radii)) == 2 * (1 + 1 + 2)
+        # per trial: rho(P), then one rho_A per K; the identity's A is P bit
+        # for bit and reuses rho(P), and the projected runs reuse the
+        # instance's compression and rho_A
+        assert sum(map(len, radii)) == 2 * (1 + 2)
         # per trial: the identity, then one compression per K
         assert sum(map(len, compressions)) == 2 * (1 + 2)
 
@@ -380,6 +397,22 @@ class TestPropositionSuite:
         ids = [r for r in report.records if r.get("identity_subcase")]
         assert len(ids) == 4
         assert all(r["ratio"] == 1.0 for r in ids)
+
+    def test_identity_subcase_measures_an_A_that_is_not_P(self, tmp_path, monkeypatch):
+        # rho(P) is reused only when U^T P U is P bit for bit
+        original = harness.compress
+
+        def doubled_identity(P, U):
+            op = original(P, U)
+            if U.K < U.n:
+                return op
+            return spectral.CompressedOperator(2.0 * op.A, source=op.source, basis=U)
+
+        monkeypatch.setattr(harness, "compress", doubled_identity)
+        report = proposition_suite(config(tmp_path, kind="proposition_suite", trials=1))
+        (rec,) = [r for r in report.records if r.get("identity_subcase")]
+        assert rec["rho_A"] == 2.0 * rec["rho_P"] and rec["ratio"] == 2.0
+        assert [f["kind"] for f in report.findings] == ["identity-ratio-not-one"]
 
     def test_findings_are_rerunnable(self, tmp_path):
         cfg = config(

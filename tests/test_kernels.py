@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,14 @@ def _instance(n, seed):
 
 
 # Reference implementations: the plain per-element loops the vectorised
-# kernels replaced. Every kernel output must match them byte for byte on
-# finite input.
+# kernels replaced. Every kernel output must match them byte for byte.
+
+
+def _running_max(acc, x):
+    """max(acc, x) by np.maximum's rule: the first NaN met is kept."""
+    if acc != acc:
+        return acc
+    return x if x > acc or x != x else acc
 
 
 def _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
@@ -40,17 +47,11 @@ def _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
         v_norm = 0.0
         for i in range(K):
             x = b[i] + alpha * w[i]
-            d = x - v[i]
-            if d < 0.0:
-                d = -d
-            if d > r_inf:
-                r_inf = d
+            d = abs(x - v[i])
+            r_inf = _running_max(r_inf, d)
             r_sq += d * d
             v[i] = x
-            if x < 0.0:
-                x = -x
-            if x > v_norm:
-                v_norm = x
+            v_norm = _running_max(v_norm, abs(x))
         res_inf[step] = r_inf
         res_2[step] = math.sqrt(r_sq)
         k_final = step + 1
@@ -76,10 +77,7 @@ def _reference_horner_partial_sum(A, b, alpha, k, guard):
         for i in range(K):
             y = b[i] + alpha * w[i]
             x[i] = y
-            if y < 0.0:
-                y = -y
-            if y > x_norm:
-                x_norm = y
+            x_norm = _running_max(x_norm, abs(y))
         if x_norm > guard or x_norm != x_norm:
             return x, step + 1
     return x, -1
@@ -93,11 +91,7 @@ def _reference_power_max_norms(A, k_max, threshold):
         norm = 0.0
         for i in range(n):
             for j in range(n):
-                x = B[i, j]
-                if x < 0.0:
-                    x = -x
-                if x > norm:
-                    norm = x
+                norm = _running_max(norm, abs(B[i, j]))
         if norm != norm or norm == np.inf:
             return False, 0, np.inf
         final_norm = norm
@@ -114,40 +108,133 @@ def _same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-REFERENCE_K = (1, 2, 7, 8, 9, 60, 150)
-
-
-@pytest.mark.parametrize("K", REFERENCE_K)
-@pytest.mark.parametrize(
-    "scale, alpha, tol, max_iter, iter_cap",
-    [
-        (1.0, 0.9, 1e-10, 100000, 0),  # converges after ~200 steps
-        (1.0, 0.95, 1e-10, 100000, 40),  # converges; first 40 iterates stored
-        (1.0, 0.99, 1e-300, 130, 200),  # max_iter, buffers grow past 64 and 128
-        (3.0, 0.9, 1e-10, 100000, 5),  # diverges past the guard
-    ],
-)
-def test_affine_iteration_matches_reference_loop(K, scale, alpha, tol, max_iter, iter_cap):
-    A, b = _instance(K, 10 + K)
-    A *= scale
-    got = kernels.affine_iteration(A, b, alpha, tol, max_iter, 1e12, iter_cap)
-    want = _reference_affine_iteration(A, b, alpha, tol, max_iter, 1e12, iter_cap)
+def _check_affine(A, b, alpha, tol, max_iter, guard, iter_cap):
+    """Run the kernel and the reference loop; return (k_final, status)."""
+    got = kernels.affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap)
+    want = _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap)
     v, res_inf, res_2, k_final, status, iter_buf, stored = got
     _same_bytes(v, want[0])
     _same_bytes(res_inf, want[1])
     _same_bytes(res_2, want[2])
     assert (k_final, status, stored) == want[3:5] + (want[6],)
     _same_bytes(iter_buf, want[5])
+    return k_final, status
+
+
+def _check_horner(A, b, alpha, k, guard):
+    """Run the kernel and the reference loop; return bad_step."""
+    x, bad = kernels.horner_partial_sum(A, b, alpha, k, guard)
+    x_ref, bad_ref = _reference_horner_partial_sum(A, b, alpha, k, guard)
+    assert bad == bad_ref
+    _same_bytes(x, x_ref)
+    return bad
+
+
+def _scaled(A, scale):
+    """A times scale; a NaN scale puts one NaN entry into A instead."""
+    if math.isnan(scale):
+        A[0, -1] = scale
+        return A
+    return A * scale
+
+
+REFERENCE_K = (1, 2, 7, 8, 9, 60, 150)
+
+# The kernels test for a stop after steps 8, 24, 56, 120, 184, ...: chunks
+# of FIRST_CHUNK steps doubling up to MAX_CHUNK. These steps sit on and
+# just past those edges.
+CHUNK_EDGE_STEPS = (1, 8, 9, 24, 25, 56, 57, 120, 121)
+
+
+def test_chunk_edges_follow_the_schedule():
+    assert (kernels.FIRST_CHUNK, kernels.MAX_CHUNK) == (8, 64)
+    ends = [k0 + c for k0, c in kernels._chunks(184)]
+    assert ends == [8, 24, 56, 120, 184]
 
 
 @pytest.mark.parametrize("K", REFERENCE_K)
-@pytest.mark.parametrize("scale, k", [(1.0, 0), (1.0, 1), (1.0, 70), (3.0, 200)])
+@pytest.mark.parametrize(
+    "scale, alpha, tol, max_iter, iter_cap",
+    [
+        (1.0, 0.9, 1e-10, 100000, 0),  # converges after ~200 steps, mid-chunk
+        (1.0, 0.95, 1e-10, 100000, 40),  # converges; first 40 iterates stored
+        (1.0, 0.99, 1e-300, 130, 200),  # max_iter, buffers grow past 64 and 128
+        (1.0, 0.99, 1e-300, 120, 13),  # max_iter on a chunk edge; storage ends mid-chunk
+        (1.0, 0.99, 1e-300, 3, 5),  # max_iter inside the first chunk
+        (3.0, 0.9, 1e-10, 100000, 5),  # diverges past the guard mid-chunk (step 29 or 30)
+        (math.nan, 0.9, 1e-10, 100, 5),  # a NaN in A: diverges at step 1
+    ],
+)
+def test_affine_iteration_matches_reference_loop(K, scale, alpha, tol, max_iter, iter_cap):
+    A, b = _instance(K, 10 + K)
+    _check_affine(_scaled(A, scale), b, alpha, tol, max_iter, 1e12, iter_cap)
+
+
+@pytest.mark.parametrize("K", REFERENCE_K)
+@pytest.mark.parametrize(
+    "scale, k",
+    [(1.0, 0), (1.0, 70), (3.0, 200), (math.nan, 200)]
+    + [(1.0, k) for k in CHUNK_EDGE_STEPS],
+)
 def test_horner_matches_reference_loop(K, scale, k):
     A, b = _instance(K, 20 + K)
-    A *= scale
-    x, bad = kernels.horner_partial_sum(A, b, 0.95, k, 1e12)
-    x_ref, bad_ref = _reference_horner_partial_sum(A, b, 0.95, k, 1e12)
-    assert bad == bad_ref
+    _check_horner(_scaled(A, scale), b, 0.95, k, 1e12)
+
+
+@pytest.mark.parametrize("K", (1, 9, 60))
+@pytest.mark.parametrize("k_stop", CHUNK_EDGE_STEPS)
+def test_stops_on_and_next_to_chunk_edges(K, k_stop):
+    A, b = _instance(K, 40 + K)
+    # converges at k_stop: tol is the reference's residual there
+    res_inf = _reference_affine_iteration(A, b, 0.9, 1e-300, k_stop, 1e12, 0)[1]
+    converged = (k_stop, kernels.STATUS_CONVERGED)
+    assert _check_affine(A, b, 0.9, res_inf[-1], 100000, 1e12, 30) == converged
+    # runs out of steps at k_stop
+    max_iter = (k_stop, kernels.STATUS_MAX_ITER)
+    assert _check_affine(A, b, 0.9, 1e-300, k_stop, 1e12, 30) == max_iter
+    # 3*A grows every iterate, so a guard at the norm of iterate k_stop - 1
+    # (0.0 at k_stop = 1) trips at step k_stop
+    A3 = 3.0 * A
+    iterates = _reference_affine_iteration(A3, b, 0.9, 1e-300, k_stop, np.inf, k_stop)[5]
+    guard = np.abs(iterates[k_stop - 1]).max()
+    diverged = (k_stop, kernels.STATUS_DIVERGED)
+    assert _check_affine(A3, b, 0.9, 1e-300, 100000, guard, 30) == diverged
+    # Horner: the same growth trips the guard at sweep k_stop
+    x_prev = _reference_horner_partial_sum(A3, b, 0.9, k_stop - 1, np.inf)[0]
+    assert _check_horner(A3, b, 0.9, 500, np.abs(x_prev).max()) == k_stop
+
+
+def test_divergence_outranks_convergence_on_one_step():
+    # step 1 is both past the guard and within tol; divergence is tested first
+    A, b = _instance(4, 5)
+    diverged = (1, kernels.STATUS_DIVERGED)
+    assert _check_affine(A, 1e13 * b, 0.9, 1e14, 100, 1e12, 5) == diverged
+
+
+def test_nan_residual_diverges_under_an_infinite_guard():
+    # an inf iterate passes guard = inf; the inf - inf residual after it
+    # is NaN and ends the run
+    A = np.array([[1e200]])
+    diverged = (4, kernels.STATUS_DIVERGED)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _check_affine(A, np.ones(1), 0.9, 1e-300, 100, np.inf, 5) == diverged
+
+
+def test_steps_past_the_stop_raise_no_warning():
+    # Step 1 converges (tol = 10) or trips the Horner guard; the rest of the
+    # first chunk overflows to inf and then NaN, and must leave no trace.
+    A = 1e200 * np.eye(3)
+    b = np.ones(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.affine_iteration(A, b, 0.9, 10.0, 100, 1e12, 5)
+        x, bad = kernels.horner_partial_sum(A, b, 0.9, 100, 1e12)
+    want = _reference_affine_iteration(A, b, 0.9, 10.0, 100, 1e12, 5)
+    assert (got[3], got[4], got[6]) == (1, kernels.STATUS_CONVERGED, 2)
+    for g, w in zip(got[:3] + got[5:6], want[:3] + want[5:6]):
+        _same_bytes(g, w)
+    x_ref, bad_ref = _reference_horner_partial_sum(A, b, 0.9, 100, 1e12)
+    assert bad == bad_ref == 1
     _same_bytes(x, x_ref)
 
 

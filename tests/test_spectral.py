@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
+from specvi import spectral
 from specvi.errors import (
     DimensionMismatchError,
     InvalidKError,
@@ -71,8 +72,9 @@ class TestSpectralRadius:
             spectral_radius(np.ones((2, 3)))
 
     def test_dense_limit(self):
+        assert spectral.DENSE_EIG_LIMIT == 2000
         with pytest.raises(MatrixTooLargeError):
-            spectral_radius(np.eye(501))
+            spectral_radius(np.eye(spectral.DENSE_EIG_LIMIT + 1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_perron_on_random_stochastic(self, seed):
