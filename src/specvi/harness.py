@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.percentile reaches it through np.unique; numpy 2 loads it lazily)
 
 from .errors import ConfigError, SpecviError
 from .evaluation import (

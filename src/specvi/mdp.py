@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 loads it lazily; import it here, not in a batch)
 
 from .errors import (
     DimensionMismatchError,

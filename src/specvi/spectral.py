@@ -4,15 +4,29 @@ and matrix-power diagnostics.
 Matrix powers are always formed by repeated multiplication, never through
 an eigendecomposition, so transient growth of non-normal matrices shows
 up in the measured norms instead of being idealized away.
+
+scipy is used only for the two LAPACK routines of schur_dominant bases,
+dgees and dtrexc, and its extension module scipy.linalg._flapack is
+loaded on the first Schur build, not at import. The loader finds that
+extension by path and runs it alone: `import scipy.linalg` would first run
+the package __init__, whose array-API shim also imports numpy.f2py,
+numpy.testing and numpy.ma (about 0.33 s, more than a small batch takes).
+The module is registered under its own name, so a later
+`import scipy.linalg` reuses the same object. Loading it eagerly is no
+better: it starts the thread pool of scipy's bundled OpenBLAS, whose
+workers spin for about 0.1 s and slow numpy's BLAS on a 2-core host.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .errors import (
@@ -309,6 +323,46 @@ def _block_moduli(T: np.ndarray, tol: float, pos: int):
     return starts, sizes, moduli
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy's LAPACK extension module, loaded without the scipy.linalg package."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg_dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg_dirs)
+    if spec is None:
+        from scipy.linalg import _flapack
+
+        return _flapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _no_sort(x, y=None):
+    return None
+
+
+def _real_schur(P: np.ndarray):
+    """(T, Z) of scipy.linalg.schur(P, output="real"), with the same LAPACK calls."""
+    a = np.asarray_chkfinite(P)
+    dgees = _flapack().dgees
+    result = dgees(_no_sort, a, lwork=-1)  # workspace query
+    lwork = result[-2][0].real.astype(np.int_)
+    result = dgees(_no_sort, a, lwork=lwork, overwrite_a=False, sort_t=0)
+    info = result[-1]
+    if info != 0:
+        raise EigenFailureError(f"Schur decomposition failed (gees info={info})")
+    return result[0], result[-3]
+
+
 def _sorted_real_schur(P: np.ndarray):
     """Real Schur form with diagonal blocks ordered by decreasing modulus.
 
@@ -318,21 +372,19 @@ def _sorted_real_schur(P: np.ndarray):
     leading columns of the returned Q then span dominant invariant
     subspaces.
     """
-    try:
-        T, Z = scipy.linalg.schur(P, output="real")
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenFailureError("Schur decomposition failed") from exc
+    T, Z = _real_schur(P)
     n = P.shape[0]
     subdiag_tol = 100 * np.finfo(np.float64).eps * max(1.0, inf_norm(P))
     T = np.asfortranarray(T)
     Z = np.asfortranarray(Z)
+    dtrexc = _flapack().dtrexc
     pos = 0
     while pos < n:
         starts, sizes, moduli = _block_moduli(T, subdiag_tol, pos)
         best = int(np.argmax(moduli))
         best_start = int(starts[best])
         if best_start != pos:
-            T, Z, info = scipy.linalg.lapack.dtrexc(
+            T, Z, info = dtrexc(
                 T, Z, best_start + 1, pos + 1, overwrite_a=1, overwrite_q=1
             )
             if info != 0:

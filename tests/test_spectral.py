@@ -1,3 +1,6 @@
+import importlib.machinery
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from specvi import spectral
 from specvi.errors import (
     DimensionMismatchError,
+    EigenFailureError,
     InvalidKError,
     InvalidParameterError,
     MatrixTooLargeError,
@@ -508,3 +512,70 @@ class TestSortedSchurReference:
         assert starts.tolist() == [0, 2, 3]
         assert sizes.tolist() == [2, 1, 1]
         assert moduli[1:].tolist() == [11.0, 16.0]
+
+
+class TestRealSchur:
+    """_real_schur repeats scipy.linalg.schur(output="real") call for call."""
+
+    CASES = {
+        "1x1": lambda: np.array([[0.7]]),
+        "rotation": lambda: np.array([[0.6, -0.8], [0.8, 0.6]]),  # one complex pair
+        "random150": lambda: random_stochastic(150, 150),
+        "walk300": lambda: chain_matrix(make_symmetric_walk(300, 0.2, seed=300)),
+        "fortran": lambda: np.asfortranarray(random_stochastic(40, 4)),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_scipy_bytes(self, name):
+        P = self.CASES[name]()
+        T, Z = spectral._real_schur(P)
+        T_ref, Z_ref = scipy.linalg.schur(P, output="real")
+        for got, want in ((T, T_ref), (Z, Z_ref)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert got.tobytes() == want.tobytes()
+        if name == "rotation":
+            assert T[1, 0] != 0.0
+
+    def test_nan_raises_the_same_value_error(self):
+        P = random_stochastic(6, 1)
+        P[2, 3] = np.nan
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.schur(P, output="real")
+        with pytest.raises(ValueError) as got:
+            build_basis(P, 2, "schur_dominant")
+        assert str(got.value) == str(want.value)
+
+    def test_gees_failure_is_eigen_failure(self, monkeypatch):
+        real = spectral._flapack()
+
+        class Failing:
+            dtrexc = real.dtrexc
+
+            @staticmethod
+            def dgees(*args, **kwargs):
+                result = real.dgees(*args, **kwargs)
+                return result[:-1] + (3,)
+
+        monkeypatch.setattr(spectral, "_flapack", lambda: Failing)
+        with pytest.raises(EigenFailureError, match="info=3"):
+            build_basis(random_stochastic(8, 2), 2, "schur_dominant")
+
+    def test_fallback_import_gives_the_same_bases(self, monkeypatch):
+        P = chain_matrix(make_random_mdp(40, 2, seed=5))
+        want = [build_basis(P, K).U.tobytes() for K in (1, 3, 40)]
+        finder = importlib.machinery.PathFinder
+        real_find_spec = finder.find_spec
+        asked = []
+
+        def find_spec(name, path=None, target=None):
+            if name == spectral._FLAPACK:
+                asked.append(name)
+                return None
+            return real_find_spec(name, path, target)
+
+        monkeypatch.setattr(finder, "find_spec", find_spec)
+        monkeypatch.delitem(sys.modules, spectral._FLAPACK)
+        assert spectral._flapack() is scipy.linalg.lapack._flapack
+        assert asked == [spectral._FLAPACK]
+        assert [build_basis(P, K).U.tobytes() for K in (1, 3, 40)] == want
