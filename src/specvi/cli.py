@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import SpecviError
+from .errors import ConfigError, SpecviError
 from .harness import ExperimentConfig, run_experiment
 from .mdp import write_mdp
 from . import harness
@@ -23,7 +23,10 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
 
 
 def _apply_overrides(data: dict, args) -> dict:

@@ -122,6 +122,8 @@ class ExperimentConfig:
             "generator" in self.mdp_source or "path" in self.mdp_source
         ):
             raise ConfigError("mdp_source must carry 'generator' (+params) or 'path'")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         coerced = {
             "K_list": tuple(_int_field("K_list", k, 1) for k in _list_field("K_list", self.K_list)),
             "alpha_list": tuple(

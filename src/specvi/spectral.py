@@ -12,9 +12,19 @@ extension by path and runs it alone: `import scipy.linalg` would first run
 the package __init__, whose array-API shim also imports numpy.f2py,
 numpy.testing and numpy.ma (about 0.33 s, more than a small batch takes).
 The module is registered under its own name, so a later
-`import scipy.linalg` reuses the same object. Loading it eagerly is no
-better: it starts the thread pool of scipy's bundled OpenBLAS, whose
-workers spin for about 0.1 s and slow numpy's BLAS on a 2-core host.
+`import scipy.linalg` reuses the same object.
+
+The extension brings scipy's bundled OpenBLAS, a second thread pool beside
+numpy's. By default an idle OpenBLAS worker busy-waits for 2**28 cycles
+(about 0.1 s) before it sleeps, so after each scipy call its workers would
+spin on the cores numpy's BLAS then runs on. OpenBLAS reads
+OPENBLAS_THREAD_TIMEOUT once, when the library is dlopened, which happens
+in module_from_spec (not exec_module); the loader sets it to 4, the least
+value, around that call only, unless the user has set it, and then removes
+it again. Thread counts and work splits are unchanged, so every result
+keeps its bytes. numpy's pool keeps its default: its power chains make
+back-to-back products, each of which would then have to wake a sleeping
+worker.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import importlib.util
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +336,21 @@ def _block_moduli(T: np.ndarray, tol: float, pos: int):
 
 _FLAPACK = "scipy.linalg._flapack"
 
+_THREAD_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+
+
+@contextmanager
+def _short_blas_spin():
+    """OPENBLAS_THREAD_TIMEOUT at its least value, 4, inside; a value the user set wins."""
+    if _THREAD_TIMEOUT in os.environ:
+        yield
+        return
+    os.environ[_THREAD_TIMEOUT] = "4"
+    try:
+        yield
+    finally:
+        del os.environ[_THREAD_TIMEOUT]
+
 
 def _flapack():
     """scipy's LAPACK extension module, loaded without the scipy.linalg package."""
@@ -336,11 +362,12 @@ def _flapack():
     if scipy_spec is not None and scipy_spec.submodule_search_locations:
         linalg_dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
         spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg_dirs)
-    if spec is None:
-        from scipy.linalg import _flapack
+    with _short_blas_spin():  # the library is dlopened here, not in exec_module
+        if spec is None:
+            from scipy.linalg import _flapack
 
-        return _flapack
-    module = importlib.util.module_from_spec(spec)
+            return _flapack
+        module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[_FLAPACK] = module
     return module

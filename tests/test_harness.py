@@ -64,6 +64,7 @@ class TestConfig:
             {"vanish_threshold": 0.0},
             {"store_traces": "no"},
             {"policy": ["x"]},
+            {"output_dir": ["x"]},
         ],
     )
     def test_invalid_configs(self, tmp_path, patch):
@@ -580,6 +581,23 @@ class TestCli:
         cfg.write_text(json.dumps(dict(body, **patch)))
         assert cli_main(["evaluate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "generate"])
+    @pytest.mark.parametrize("top", [[1, 2], "config", 3])
+    def test_non_object_config_is_error_line(self, tmp_path, capsys, command, top):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(top))
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "generate"])
+    def test_non_string_output_dir_is_error_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.json"
+        body = {"mdp_source": {"generator": "random", "n": 5, "m": 1}, "output_dir": ["x"]}
+        cfg.write_text(json.dumps(body))
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: output_dir must be a string")
+        assert not (tmp_path / "x").exists()
 
     def test_findings_still_exit_zero(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,4 +1,6 @@
 import importlib.machinery
+import importlib.util
+import os
 import sys
 
 import numpy as np
@@ -579,3 +581,18 @@ class TestRealSchur:
         assert spectral._flapack() is scipy.linalg.lapack._flapack
         assert asked == [spectral._FLAPACK]
         assert [build_basis(P, K).U.tobytes() for K in (1, 3, 40)] == want
+
+    def test_failed_load_restores_the_environment(self, monkeypatch):
+        seen = []
+
+        def failing_module_from_spec(spec):
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            raise ImportError("cannot load")
+
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        monkeypatch.delitem(sys.modules, spectral._FLAPACK)
+        monkeypatch.setattr(importlib.util, "module_from_spec", failing_module_from_spec)
+        with pytest.raises(ImportError, match="cannot load"):
+            spectral._flapack()
+        assert seen == ["4"]
+        assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
