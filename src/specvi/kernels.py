@@ -13,9 +13,15 @@ test at once, and the kernel keeps the steps up to the first row that
 stops. Chunks grow from FIRST_CHUNK to MAX_CHUNK steps (8, 16, 32, 64),
 so a short run computes few steps past its stop. Those steps run under
 ``np.errstate``: their overflow or NaN reaches no result and raises no
-warning. The power scan still tests each power as it is formed; stacking
-a chunk of powers measured slower at K >= 60.
-``perfbench/kernel_sweep.py`` times the kernels across K.
+warning. The power scan does the same with a chunk of powers: it forms
+them by ``np.dot(S[j], A, out=S[j+1])`` in one (c+1) x K x K stack, the
+chunk's first from the previous chunk's last power, then takes their
+absolute values with one call and one max per power. Its
+chunks are also capped at POWER_STACK_DOUBLES // K**2 powers (at least
+one), so the stack stays near 256 KiB: 20 powers at K = 40, 8 at K = 64,
+and one per chunk, a per-power loop, from K = 182, where a product costs
+far more than the calls around it. ``perfbench/kernel_sweep.py`` times
+the kernels across K.
 
 Only the stopping test is blocked. Each step's arithmetic is the one a
 per-step loop does (unlike s-step methods, which block it too and round
@@ -54,6 +60,10 @@ RESIDUAL_CHUNK = 64
 FIRST_CHUNK = 8
 MAX_CHUNK = 64
 
+#: The power scan's chunk holds at most this many doubles of powers
+#: (256 KiB), and at least one power.
+POWER_STACK_DOUBLES = 2**15
+
 #: Recorded in benchmark manifests; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
 
@@ -64,14 +74,15 @@ def _grow(buf, size):
     return out
 
 
-def _chunks(total):
-    """Yield (start, length) of the chunks that cover steps 0..total-1."""
-    start, size = 0, FIRST_CHUNK
+def _chunks(total, most=MAX_CHUNK):
+    """Yield (start, length) of the chunks that cover steps 0..total-1,
+    none longer than most."""
+    start, size = 0, min(FIRST_CHUNK, most)
     while start < total:
         length = min(size, total - start)
         yield start, length
         start += length
-        size = min(2 * size, MAX_CHUNK)
+        size = min(2 * size, most)
 
 
 def _affine_steps(A, b, alpha, W, c):
@@ -178,22 +189,38 @@ def power_max_norms(A, k_max, threshold):
 
     Returns (vanished, first_k, final_norm); first_k is 0 when the
     threshold was never reached. Non-finite entries (overflow or NaN) end
-    the scan with final_norm = inf.
+    the scan with final_norm = inf. Overflow raises no warning.
     """
-    B = A.copy()
-    C = np.empty_like(B)
-    scratch = np.empty_like(B)
+    K = A.shape[0]
+    most = max(1, min(MAX_CHUNK, POWER_STACK_DOUBLES // max(1, K * K)))
+    width = max(1, min(most, k_max))
+    S = np.empty((width + 1, K, K))
+    scratch = np.empty((width, K * K))
     final_norm = 0.0
-    for k in range(1, k_max + 1):
-        norm = float(np.abs(B, out=scratch).max(initial=0.0))
-        if norm != norm or norm == np.inf:
-            return False, 0, np.inf
-        final_norm = norm
-        if norm <= threshold:
-            return True, k, norm
-        if k < k_max:
-            np.dot(B, A, out=C)
-            B, C = C, B
+    last = 0  # row of S holding the previous chunk's last power
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, c in _chunks(k_max, most):
+            # The chunk's powers fill rows lo..lo+c-1; its first product
+            # must not overwrite the power it reads.
+            lo = 0 if last == 1 else 1
+            if k0:
+                np.dot(S[last], A, out=S[lo])
+            else:
+                S[lo] = A
+            for j in range(lo, lo + c - 1):
+                np.dot(S[j], A, out=S[j + 1])
+            powers = np.abs(S[lo : lo + c].reshape(c, K * K), out=scratch[:c])
+            norms = np.maximum.reduce(powers, axis=1, initial=0.0)
+            # not (norm < inf) is an overflowed or NaN power.
+            bad = ~(norms < np.inf)
+            stop = bad | (norms <= threshold)
+            j = int(stop.argmax())
+            if stop[j]:
+                if bad[j]:
+                    return False, 0, np.inf
+                return True, k0 + j + 1, float(norms[j])
+            last = lo + c - 1
+            final_norm = float(norms[-1])
     return False, 0, final_norm
 
 

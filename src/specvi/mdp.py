@@ -265,10 +265,16 @@ def make_symmetric_walk(n: int, self_loop: float, seed: int = 0) -> Mdp:
     perms = [_random_derangement(n, rng) for _ in range(_WALK_ROUNDS)]
     weights = rng.random(_WALK_ROUNDS)
     weights /= weights.sum()
+    rows = np.arange(n)
     for perm, w in zip(perms, weights):
-        M = np.zeros((n, n))
-        M[np.arange(n), perm] = 1.0
-        mix += w * ((M + M.T) / 2.0)
+        # The nonzeros of w * (M + M^T) / 2 for M[i, perm[i]] = 1: w at
+        # (i, perm[i]) and (perm[i], i) where perm swaps i and perm[i],
+        # w / 2 at both where it does not. They are distinct entries.
+        two_cycle = perm[perm] == rows
+        value = w * ((1.0 + two_cycle) / 2.0)
+        mix[rows, perm] += value
+        one_way = ~two_cycle
+        mix[perm[one_way], rows[one_way]] += value[one_way]
     P = (1.0 - self_loop) * mix
     P[np.arange(n), np.arange(n)] += self_loop
     costs = rng.random((n, 1))

@@ -205,18 +205,6 @@ class VanishingCheck:
 
 
 @dataclass(frozen=True)
-class SortedSchur:
-    """What schur_dominant bases use of a modulus-sorted real Schur form P = Z T Z^T."""
-
-    Z: np.ndarray  # Schur vectors, blocks by decreasing modulus
-    subdiag: np.ndarray  # T[i + 1, i]
-    subdiag_tol: float  # above it, rows i and i + 1 hold a complex-pair block
-
-    def __post_init__(self):
-        self.Z.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class CompressionRadiusCheck:
     """Measured rho(P), rho(U^T P U) and their ratio for one (P, U) pair."""
 
@@ -390,34 +378,47 @@ def _real_schur(P: np.ndarray):
     return result[0], result[-3]
 
 
-def _sorted_real_schur(P: np.ndarray):
-    """Real Schur form with diagonal blocks ordered by decreasing modulus.
+class _SchurSort:
+    """A real Schur form P = Z T Z^T whose diagonal blocks are being ordered
+    by decreasing modulus.
 
     A selection sort on whole 1x1/2x2 blocks: each pass moves the first
     block of largest modulus at or after pos to pos with LAPACK's trexc
     (Bai & Demmel, 1993), in place, so complex pairs stay intact; the
-    leading columns of the returned Q then span dominant invariant
-    subspaces.
+    leading columns of Z then span dominant invariant subspaces. A pass at
+    pos swaps only blocks at positions >= pos, so the columns of Z before
+    pos and T[i + 1, i] for i < pos are final: sort_to(K) runs passes only
+    until pos >= K, and a later, larger K continues the same sort.
     """
-    T, Z = _real_schur(P)
-    n = P.shape[0]
-    subdiag_tol = 100 * np.finfo(np.float64).eps * max(1.0, inf_norm(P))
-    T = np.asfortranarray(T)
-    Z = np.asfortranarray(Z)
-    dtrexc = _flapack().dtrexc
-    pos = 0
-    while pos < n:
-        starts, sizes, moduli = _block_moduli(T, subdiag_tol, pos)
-        best = int(np.argmax(moduli))
-        best_start = int(starts[best])
-        if best_start != pos:
-            T, Z, info = dtrexc(
-                T, Z, best_start + 1, pos + 1, overwrite_a=1, overwrite_q=1
-            )
-            if info != 0:
-                raise EigenFailureError(f"Schur reordering failed (trexc info={info})")
-        pos += int(sizes[best])
-    return T, Z, subdiag_tol
+
+    def __init__(self, P: np.ndarray):
+        T, Z = _real_schur(P)
+        self.T = np.asfortranarray(T)
+        self.Z = np.asfortranarray(Z)
+        # above it, T[i + 1, i] pairs rows i and i + 1 into a complex-pair block
+        self.subdiag_tol = 100 * np.finfo(np.float64).eps * max(1.0, inf_norm(P))
+        self.pos = 0  # positions before pos hold their final blocks
+
+    def sort_to(self, K: int) -> None:
+        dtrexc = _flapack().dtrexc
+        while self.pos < K:
+            starts, sizes, moduli = _block_moduli(self.T, self.subdiag_tol, self.pos)
+            best = int(np.argmax(moduli))
+            best_start = int(starts[best])
+            if best_start != self.pos:
+                self.T, self.Z, info = dtrexc(
+                    self.T, self.Z, best_start + 1, self.pos + 1, overwrite_a=1, overwrite_q=1
+                )
+                if info != 0:
+                    raise EigenFailureError(f"Schur reordering failed (trexc info={info})")
+            self.pos += int(sizes[best])
+
+
+def _sorted_real_schur(P: np.ndarray):
+    """(T, Z, subdiag_tol) of the real Schur form with every block sorted."""
+    schur = _SchurSort(P)
+    schur.sort_to(P.shape[0])
+    return schur.T, schur.Z, schur.subdiag_tol
 
 
 def build_basis(
@@ -432,8 +433,9 @@ def build_basis(
     coordinate: first K standard basis vectors.
 
     memo, if given, is a dict the caller keeps for this one P: the first
-    schur_dominant call stores the sorted Schur form in it, and later
-    calls for other K reuse it.
+    schur_dominant call stores the Schur form in it, sorted only as far as
+    the largest K asked so far, and later calls for other K reuse it,
+    extending the sort when K is larger. Without a memo the sort stops at K.
     """
     M = square_matrix(P)
     n = M.shape[0]
@@ -458,16 +460,22 @@ def build_basis(
     else:  # schur_dominant
         schur = memo.get("schur") if memo is not None else None
         if schur is None:
-            T, Z, subdiag_tol = _sorted_real_schur(M)
-            schur = SortedSchur(Z, np.diag(T, -1).copy(), subdiag_tol)
+            schur = _SchurSort(M)
             if memo is not None:
                 memo["schur"] = schur
-        if K < n and abs(schur.subdiag[K - 1]) > schur.subdiag_tol:
+        try:
+            schur.sort_to(K)
+        except EigenFailureError:
+            if memo is not None:
+                del memo["schur"]  # a failed sort is not reused
+            raise
+        if K < n and abs(schur.T[K, K - 1]) > schur.subdiag_tol:
             raise SplitConjugatePairError(
                 f"K={K} cuts a 2x2 complex-pair Schur block; use K={K + 1} "
                 "or another strategy"
             )
-        U = schur.Z[:, :K]
+        # a copy: the memo's Z stays the working array of later passes
+        U = np.array(schur.Z[:, :K], order="C")
     return OrthonormalBasis(np.ascontiguousarray(U), strategy)
 
 

@@ -16,7 +16,7 @@ from specvi.harness import (
     read_trace_csv,
     run_experiment,
 )
-from specvi.mdp import InducedChain, make_random_mdp, read_mdp, validate_stochastic
+from specvi.mdp import InducedChain, make_random_mdp, read_mdp, validate_stochastic, write_mdp
 
 
 def config(tmp_path, **overrides):
@@ -302,7 +302,7 @@ class TestInstanceQuantitiesOnce:
         return calls
 
     def test_one_sorted_schur_per_trial(self, tmp_path, monkeypatch):
-        schur = self.count_calls(monkeypatch, spectral, "_sorted_real_schur")
+        schur = self.count_calls(monkeypatch, spectral, "_real_schur")
         bases = self.count_calls(monkeypatch, harness, "build_basis")
         # every site a compression or a radius can be computed through
         sites = (harness, evaluation, spectral)
@@ -320,14 +320,15 @@ class TestInstanceQuantitiesOnce:
         report = run_experiment(cfg)
         assert report.summary["errors"] == 0
         assert len(schur) == 2
-        # per trial: the identity basis, then one schur_dominant basis per K
-        assert len(bases) == 2 * (1 + 2)
-        # per trial: rho(P), then one rho_A per K; the identity's A is P bit
-        # for bit and reuses rho(P), and the projected runs reuse the
-        # instance's compression and rho_A
+        # per trial: one schur_dominant basis per K; the identity sub-case
+        # builds no basis
+        assert len(bases) == 2 * 2
+        # per trial: rho(P), then one rho_A per K; the identity's A is P and
+        # reuses rho(P), and the projected runs reuse the instance's
+        # compression and rho_A
         assert sum(map(len, radii)) == 2 * (1 + 2)
-        # per trial: the identity, then one compression per K
-        assert sum(map(len, compressions)) == 2 * (1 + 2)
+        # per trial: one compression per K
+        assert sum(map(len, compressions)) == 2 * 2
 
     def test_exact_vi_once_per_alpha(self, tmp_path, monkeypatch):
         exact = self.count_calls(monkeypatch, harness, "exact_vi")
@@ -398,22 +399,6 @@ class TestPropositionSuite:
         ids = [r for r in report.records if r.get("identity_subcase")]
         assert len(ids) == 4
         assert all(r["ratio"] == 1.0 for r in ids)
-
-    def test_identity_subcase_measures_an_A_that_is_not_P(self, tmp_path, monkeypatch):
-        # rho(P) is reused only when U^T P U is P bit for bit
-        original = harness.compress
-
-        def doubled_identity(P, U):
-            op = original(P, U)
-            if U.K < U.n:
-                return op
-            return spectral.CompressedOperator(2.0 * op.A, source=op.source, basis=U)
-
-        monkeypatch.setattr(harness, "compress", doubled_identity)
-        report = proposition_suite(config(tmp_path, kind="proposition_suite", trials=1))
-        (rec,) = [r for r in report.records if r.get("identity_subcase")]
-        assert rec["rho_A"] == 2.0 * rec["rho_P"] and rec["ratio"] == 2.0
-        assert [f["kind"] for f in report.findings] == ["identity-ratio-not-one"]
 
     def test_findings_are_rerunnable(self, tmp_path):
         cfg = config(
@@ -581,6 +566,36 @@ class TestCli:
         cfg.write_text(json.dumps(dict(body, **patch)))
         assert cli_main(["evaluate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["check-compression", "generate"])
+    @pytest.mark.parametrize(
+        "source, extra",
+        [
+            ({"generator": "symmetric_walk", "n": 20, "selfloop": 0.5}, "['selfloop']"),
+            ({"generator": "random", "n": 5, "m": 1, "self_loop": 0.2}, "['self_loop']"),
+            ({"generator": "symmetric_walk", "n": 20, "m": 2}, "['m']"),
+        ],
+    )
+    def test_unread_source_key_is_error_line(self, tmp_path, capsys, command, source, extra):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mdp_source": source, "output_dir": str(tmp_path / "out")}))
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mdp_source keys {extra} are not read")
+        assert not (tmp_path / "out" / "meta.json").exists()
+
+    def test_path_with_generator_keys_is_error_line(self, tmp_path, capsys):
+        mdp_dir = tmp_path / "mdp"
+        write_mdp(make_random_mdp(5, 1, seed=0), str(mdp_dir))
+        cfg = tmp_path / "c.json"
+        source = {"path": str(mdp_dir), "generator": "random", "n": 5}
+        cfg.write_text(json.dumps({"mdp_source": source, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["check-compression", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: mdp_source keys ['generator', 'n'] are not read; "
+            "a 'path' source takes only ['path']\n"
+        )
 
     @pytest.mark.parametrize("command", ["evaluate", "generate"])
     @pytest.mark.parametrize("top", [[1, 2], "config", 3])

@@ -250,6 +250,83 @@ def test_power_max_norms_matches_reference_loop(K, scale, k_max):
     _same_bytes(np.float64(final), np.float64(want[2]))
 
 
+def _power_chunk_ends(K, k_max):
+    """Last power of each chunk the power scan forms at this K."""
+    most = max(1, min(kernels.MAX_CHUNK, kernels.POWER_STACK_DOUBLES // (K * K)))
+    return [start + length for start, length in kernels._chunks(k_max, most)]
+
+
+def _check_power_scan(A, k_max, threshold):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kernels.power_max_norms(A, k_max, threshold)
+        want = _reference_power_max_norms(A, k_max, threshold)
+    assert (bool(got[0]), got[1]) == (want[0], want[1])
+    _same_bytes(np.float64(got[2]), np.float64(want[2]))
+    return got
+
+
+@pytest.mark.parametrize("K", [4, 40, 200])
+def test_power_scan_stops_at_chunk_edges(K):
+    # 0.5 * (row-stochastic) has strictly falling max-norms, so a threshold
+    # equal to ||A^k||_max stops the scan exactly at k.
+    A, _ = _instance(K, 70 + K)
+    A *= 0.5
+    ends = _power_chunk_ends(K, 60)
+    if K == 200:
+        assert ends[:3] == [1, 2, 3]  # the byte cap leaves one power a chunk
+    else:
+        assert ends[:2] == [8, 24] if K == 4 else [8, 24, 44]
+    norms, B = [], A.copy()
+    for _ in range(max(ends[1] + 1, 4)):
+        norms.append(float(np.abs(B).max()))
+        B = B @ A
+    # the first power of the first two chunks, the last one of each
+    targets = [1, ends[0], ends[0] + 1, ends[1], ends[1] + 1]
+    for k in targets:
+        assert _check_power_scan(A, 10000, norms[k - 1])[:2] == (True, k)
+    # k_max at a chunk's last power, the threshold one power past it
+    for k_max in (ends[0], ends[1]):
+        assert _check_power_scan(A, k_max, norms[k_max])[:2] == (False, 0)
+    # k_max below the first chunk, stopping inside it or not at all
+    assert _check_power_scan(A, 3, norms[1])[:2] == (True, 2)
+    got = _check_power_scan(A, 3, norms[3])
+    assert got[:2] == (False, 0) and got[2] == norms[2]
+
+
+def test_power_scan_stops_on_nan_inside_a_chunk():
+    # A NaN power needs inf - inf inside one product; with fused
+    # multiply-adds a single running sum overflows to inf first, but a sum
+    # split across accumulators can meet +inf and -inf. At K = 33 this
+    # BLAS does so for some of these matrices at k = 4 of the chunk 1..8.
+    first_chunk = _power_chunk_ends(33, 100)[0]
+    nan_inside = 0
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], size=(33, 33))
+        A = signs * 10.0 ** rng.uniform(0.0, 80.0, size=(33, 33))
+        assert _check_power_scan(A, 100, 1e-12) == (False, 0, np.inf)
+        B, k = A, 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(B).all():
+                B, k = B @ A, k + 1
+        nan_inside += bool(np.isnan(np.maximum.reduce(np.abs(B), axis=None))) and k < first_chunk
+    if not nan_inside:
+        pytest.skip("this BLAS formed no NaN before an overflow")
+
+
+def test_power_scan_stops_on_overflow_inside_a_chunk():
+    # 10^k overflows at k = 309, inside the chunk of powers 249..312
+    ends = _power_chunk_ends(2, 5000)
+    assert 248 in ends and 312 in ends
+    assert _check_power_scan(10.0 * np.eye(2), 5000, 1e-12) == (False, 0, np.inf)
+
+
+def test_power_scan_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.power_max_norms(10.0 * np.eye(2), 5000, 1e-12) == (False, 0, np.inf)
+
+
 def test_backend_selected():
     assert kernels.ACTIVE_BACKEND == "numpy"
     assert kernels.affine_iteration is not None

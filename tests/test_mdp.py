@@ -16,9 +16,11 @@ from specvi.errors import (
     RowSumViolationError,
 )
 from specvi.mdp import (
+    _WALK_ROUNDS,
     InducedChain,
     Mdp,
     Policy,
+    _random_derangement,
     induce_chain,
     make_random_mdp,
     make_symmetric_walk,
@@ -165,6 +167,24 @@ class TestGenerators:
             make_symmetric_walk(4, 1.0)
         with pytest.raises(InvalidParameterError):
             make_symmetric_walk(4, -0.1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 30, 300])
+    def test_symmetric_walk_matches_dense_rounds(self, n):
+        # reference: each round adds the dense w * (M + M^T) / 2
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            perms = [_random_derangement(n, rng) for _ in range(_WALK_ROUNDS)]
+            weights = rng.random(_WALK_ROUNDS)
+            weights /= weights.sum()
+            mix = np.zeros((n, n))
+            for perm, w in zip(perms, weights):
+                M = np.zeros((n, n))
+                M[np.arange(n), perm] = 1.0
+                mix += w * ((M + M.T) / 2.0)
+            P = (1.0 - 0.2) * mix
+            P[np.arange(n), np.arange(n)] += 0.2
+            got = make_symmetric_walk(n, 0.2, seed).transitions[0].entries
+            assert got.tobytes() == P.tobytes()
 
     def test_symmetric_walk_deterministic(self):
         a = make_symmetric_walk(12, 0.25, seed=4).transitions[0].entries

@@ -408,6 +408,15 @@ class TestBoundedPower:
 
 
 class TestCompressionRadius:
+    def test_coordinate_compression_has_the_bytes_of_P(self):
+        # why the identity sub-case of proposition_suite takes rho(P) as rho(A)
+        cases = [make_random_mdp(n, 2, seed=n) for n in (1, 2, 30, 300)]
+        cases += [make_symmetric_walk(n, 0.2, seed=n) for n in (2, 30, 300)]
+        for mdp in cases:
+            P = chain_matrix(mdp)
+            A = compress(P, build_basis(P, mdp.n, strategy="coordinate")).A
+            assert A.shape == P.shape and A.tobytes() == P.tobytes()
+
     def test_identity_ratio_exact(self):
         P = validate_stochastic(random_stochastic(7, 4))
         U = build_basis(P, 7, strategy="coordinate")
@@ -470,7 +479,81 @@ def chain_matrix(mdp):
     return induce_chain(mdp, Policy(np.zeros(mdp.n, dtype=np.int64))).P.entries
 
 
+def full_sort_bases(P):
+    """{K: basis bytes, or None where K splits a pair}, from the reference sort."""
+    T, Z, tol = reference_sorted_real_schur(P)
+    n = P.shape[0]
+    return {
+        K: None if K < n and abs(T[K, K - 1]) > tol else np.ascontiguousarray(Z[:, :K]).tobytes()
+        for K in range(1, n + 1)
+    }
+
+
 class TestSchurMemo:
+    """The memo's form is sorted only as far as the largest K asked; every
+    basis must still have the bytes of a fully sorted form's."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("n", [20, 150])
+    @pytest.mark.parametrize("make", ["random", "walk"])
+    def test_any_K_order_gives_full_sort_bases(self, make, n, order):
+        if make == "random":
+            P = chain_matrix(make_random_mdp(n, 2, seed=n))
+        else:
+            P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
+        want = full_sort_bases(P)
+        Ks = list(range(1, n + 1))
+        if order == "descending":
+            Ks.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(n).shuffle(Ks)
+        memo = {}
+        for K in Ks:
+            if want[K] is None:
+                with pytest.raises(SplitConjugatePairError):
+                    build_basis(P, K, memo=memo)
+            else:
+                assert build_basis(P, K, memo=memo).U.tobytes() == want[K]
+        if make == "random":
+            assert None in want.values()
+
+    def test_sort_stops_at_K(self):
+        P = chain_matrix(make_symmetric_walk(40, 0.2, seed=4))  # 1x1 blocks only
+        memo = {}
+        build_basis(P, 5, memo=memo)
+        assert memo["schur"].pos == 5
+        build_basis(P, 3, memo=memo)
+        assert memo["schur"].pos == 5
+        build_basis(P, 40, memo=memo)
+        assert memo["schur"].pos == 40
+
+    def test_a_handed_out_basis_keeps_its_bytes(self):
+        P = chain_matrix(make_symmetric_walk(60, 0.2, seed=2))
+        memo = {}
+        small = [build_basis(P, K, memo=memo) for K in (1, 2, 7)]
+        before = [U.U.tobytes() for U in small]
+        build_basis(P, 60, memo=memo)
+        assert [U.U.tobytes() for U in small] == before
+        for U in small:
+            assert not np.shares_memory(U.U, memo["schur"].Z)
+
+    def test_a_failed_sort_is_not_kept(self, monkeypatch):
+        real = spectral._flapack()
+
+        class Failing:
+            dgees = real.dgees
+
+            @staticmethod
+            def dtrexc(*args, **kwargs):
+                return real.dtrexc(*args, **kwargs)[:-1] + (1,)
+
+        P = chain_matrix(make_random_mdp(20, 2, seed=1))
+        memo = {}
+        monkeypatch.setattr(spectral, "_flapack", lambda: Failing)
+        with pytest.raises(EigenFailureError, match="trexc info=1"):
+            build_basis(P, 20, memo=memo)
+        assert memo == {}
+
     def test_memo_gives_the_same_bases_and_errors(self):
         P = chain_matrix(make_random_mdp(30, 2, seed=3))
         memo = {}
