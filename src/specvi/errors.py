@@ -42,7 +42,7 @@ class EigenFailureError(SpecviError):
 
 
 class MatrixTooLargeError(SpecviError):
-    """Dense spectral radius requested above the n <= 500 threshold."""
+    """Dense spectral radius requested above spectral.DENSE_EIG_LIMIT (n <= 2000)."""
 
 
 class InvalidKError(SpecviError):

@@ -28,7 +28,8 @@ from .errors import (
     ZeroResidualError,
 )
 from .mdp import InducedChain, as_discount
-from .spectral import CompressedOperator, OrthonormalBasis, compress, spectral_radius
+from .spectral import CompressedOperator, OrthonormalBasis, compress
+from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
@@ -121,13 +122,7 @@ def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
         raise InvalidParameterError("max_iter must be >= 1")
     cap = min(max_iter, ITERATE_STORAGE_CAP) if store_iterates else 0
     v, res_inf, res_2, k_final, code, iter_buf, stored = kernels.affine_iteration(
-        kernels.as_kernel_matrix(A),
-        kernels.as_kernel_vector(b),
-        float(alpha),
-        float(tol),
-        int(max_iter),
-        kernels.DIVERGENCE_GUARD,
-        cap,
+        A, b, float(alpha), float(tol), int(max_iter), kernels.DIVERGENCE_GUARD, cap
     )
     iterates = None
     if store_iterates and k_final <= ITERATE_STORAGE_CAP and stored >= k_final + 1:
@@ -166,18 +161,17 @@ def projected_vi(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     store_iterates: bool = False,
-    compute_certificate: bool | None = None,
 ) -> EvaluationResult:
     """Projected value iteration in the K-dimensional subspace spanned by U.
 
     A = U^T P U and b = U^T c are formed once, then the affine loop runs
     until tol, max_iter, or the divergence guard (inf norm above 1e12).
     U may also be the compression U^T P U of chain.P, as compress returns
-    it; its .basis is then U and A is not formed again.
+    it; its .basis is then U, and neither A nor its spectral radius is
+    computed again: the operator keeps rho once it has computed it.
     Divergence is reported as a status, not an exception: it is evidence
     that alpha*rho(U^T P U) >= 1 for this instance. The certificate
-    (rho(A), alpha*rho(A)) is attached by default for K <= 500;
-    compute_certificate forces it on or off.
+    (rho(A), alpha*rho(A)) is attached for K <= CERTIFICATE_SIZE_LIMIT.
     """
     op = None
     if isinstance(U, CompressedOperator):
@@ -193,14 +187,9 @@ def projected_vi(
         op = compress(chain.P, U)
     b = U.U.T @ chain.c
     v, trace = _run_affine(op.A, b, a, tol, max_iter, store_iterates)
-    want_cert = (
-        compute_certificate
-        if compute_certificate is not None
-        else U.K <= CERTIFICATE_SIZE_LIMIT
-    )
     certificate = None
-    if want_cert:
-        certificate = ConvergenceCertificate.of(a, spectral_radius(op.A).rho)
+    if U.K <= CERTIFICATE_SIZE_LIMIT:
+        certificate = ConvergenceCertificate.of(a, op.rho)
     return EvaluationResult(v_fixed=v, trace=trace, certificate=certificate)
 
 
@@ -214,14 +203,15 @@ def series_eval(A, b, alpha, k: int) -> np.ndarray:
     if k < 0:
         raise InvalidParameterError("k must be >= 0")
     M = A.A if isinstance(A, CompressedOperator) else np.asarray(A, dtype=np.float64)
-    vec = kernels.as_kernel_vector(b)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != vec.shape[0]:
+    vec = np.ascontiguousarray(b, dtype=np.float64)
+    if M.ndim != 2 or vec.ndim != 1 or M.shape[0] != M.shape[1] or M.shape[0] != vec.shape[0]:
         raise DimensionMismatchError(
             f"incompatible shapes: A {M.shape}, b {vec.shape}"
         )
     a = float(as_discount(alpha))
+    # C order: a Fortran-order A can round differently in the kernel's np.dot
     x, bad_step = kernels.horner_partial_sum(
-        kernels.as_kernel_matrix(M), vec, a, int(k), kernels.DIVERGENCE_GUARD
+        np.ascontiguousarray(M), vec, a, int(k), kernels.DIVERGENCE_GUARD
     )
     if bad_step >= 0:
         raise PowerOverflowError(

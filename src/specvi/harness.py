@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,8 +28,6 @@ import numpy.ma  # noqa: F401  (np.percentile reaches it through np.unique; nump
 
 from .errors import ConfigError, SpecviError
 from .evaluation import (
-    CERTIFICATE_SIZE_LIMIT,
-    ConvergenceCertificate,
     EvaluationResult,
     RunStatus,
     approximation_error,
@@ -348,7 +346,8 @@ class Instance:
     records.
 
     The work goes through this module's build_basis, spectral_radius,
-    compress and exact_vi. schur_dominant bases for all K share one
+    compress and exact_vi; each compression keeps its own spectral radius
+    (CompressedOperator.rho). schur_dominant bases for all K share one
     Schur form, which the first build_basis call stores in the instance's
     memo, sorted only as far as the largest K asked. A failed computation
     is not cached, so each record that needs it records the error itself.
@@ -387,14 +386,11 @@ class Instance:
     def compressed(self, K: int):
         return self._cached(("compressed", K), lambda: compress(self.chain.P, self.basis(K)))
 
-    def rho_A(self, K: int) -> float:
-        return self._cached(("rho_A", K), lambda: spectral_radius(self.compressed(K).A).rho)
-
     def radius_check(self, K: int) -> CompressionRadiusCheck:
         """rho(P) against rho(U^T P U). The basis is built first, so a
         record whose basis fails reports that failure."""
         self.basis(K)
-        return CompressionRadiusCheck.of(self.rho_P, self.rho_A(K))
+        return CompressionRadiusCheck.of(self.rho_P, self.compressed(K).rho)
 
     def exact(self, alpha: float):
         return self._cached(
@@ -445,19 +441,12 @@ def _radius_fields(findings, rec, chk: CompressionRadiusCheck) -> None:
 
 
 def _projected_run(inst, K, alpha) -> EvaluationResult:
-    """Projected VI on the instance's compression, certified from the
-    instance's rho(U^T P U) for K <= CERTIFICATE_SIZE_LIMIT."""
+    """Projected VI on the instance's compression, which keeps its rho for
+    the certificate and for the trial's other records."""
     config = inst.config
-    proj = projected_vi(
-        inst.chain,
-        inst.compressed(K),
-        alpha,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        compute_certificate=False,
+    return projected_vi(
+        inst.chain, inst.compressed(K), alpha, tol=config.tol, max_iter=config.max_iter
     )
-    cert = ConvergenceCertificate.of(alpha, inst.rho_A(K)) if K <= CERTIFICATE_SIZE_LIMIT else None
-    return replace(proj, certificate=cert)
 
 
 def _projected_fields(inst, t, rec, findings, proj: EvaluationResult) -> None:
@@ -501,7 +490,7 @@ def _evaluate_record(inst, t, rec, findings):
 def _compare_rates_record(inst, t, rec, findings):
     config = inst.config
     inst.basis(t.K)
-    rho_A = inst.rho_A(t.K)
+    rho_A = inst.compressed(t.K).rho
     # rho(P) before any iteration: past the dense limit it raises
     # MatrixTooLargeError
     rho_P = inst.rho_P
@@ -550,7 +539,8 @@ def _gelfand_record(inst, t, rec, findings):
     if t.operand is None:
         M, rho = inst.chain.P.entries, inst.rho_P
     else:
-        M, rho = inst.compressed(t.operand).A, inst.rho_A(t.operand)
+        op = inst.compressed(t.operand)
+        M, rho = op.A, op.rho
     k_max = inst.config.gelfand_k_max
     two, inf = gelfand_finals(M, k_max)
     rec["rho_dense"] = rho
@@ -577,10 +567,7 @@ def _proposition_record(inst, t, rec, findings):
     """
     config = inst.config
     if t.suffix == "identity":
-        chk = CompressionRadiusCheck.of(inst.rho_P, inst.rho_P)
-        rec["rho_P"] = chk.rho_P
-        rec["rho_A"] = chk.rho_A
-        rec["ratio"] = chk.ratio
+        _radius_fields(findings, rec, CompressionRadiusCheck.of(inst.rho_P, inst.rho_P))
         rec["identity_subcase"] = True
         rec["status"] = "ok"
         return
@@ -683,10 +670,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Records come in a deterministic order: trial, then the kind's targets.
     """
-    report = _new_report(config)
     kind = _KINDS[config.kind]
+    # trial 0's instance first: a bad source or K leaves no output directory
+    first = Instance(config, 0)
+    report = _new_report(config)
     for trial in range(config.trials):
-        inst = Instance(config, trial)
+        inst = first if trial == 0 else Instance(config, trial)
         for t in kind.targets(inst):
             rec = _base_record(inst, t)
             try:

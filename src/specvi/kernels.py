@@ -223,17 +223,3 @@ def power_max_norms(A, k_max, threshold):
             final_norm = float(norms[-1])
     return False, 0, final_norm
 
-
-def as_kernel_matrix(M):
-    """C-contiguous float64 view/copy of a 2-D array for the kernels."""
-    out = np.ascontiguousarray(M, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError("kernel matrix must be 2-D")
-    return out
-
-
-def as_kernel_vector(v):
-    out = np.ascontiguousarray(v, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError("kernel vector must be 1-D")
-    return out

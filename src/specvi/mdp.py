@@ -34,7 +34,8 @@ _WALK_ROUNDS = 4
 
 
 def _frozen_array(values, dtype=np.float64):
-    out = np.array(values, dtype=dtype)
+    # C order: the kernels' np.dot rounds a Fortran-order matrix differently
+    out = np.array(values, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

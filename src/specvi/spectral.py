@@ -36,6 +36,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,10 +152,13 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class CompressedOperator:
-    """K x K compression U^T P U of an n x n operator onto span(U)."""
+    """K x K compression U^T P U of an n x n operator onto span(U).
+
+    rho, its spectral radius, is computed on first use and kept; a failed
+    eigensolve is not kept, so the next use tries again.
+    """
 
     A: np.ndarray
-    source: np.ndarray | None = None
     basis: OrthonormalBasis | None = None
 
     def __post_init__(self):
@@ -167,6 +171,10 @@ class CompressedOperator:
     @property
     def K(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def rho(self) -> float:
+        return spectral_radius(self.A).rho
 
 
 @dataclass(frozen=True)
@@ -281,32 +289,17 @@ def power_iteration_radius(
     return SpectralEstimate(abs(nu), "power_iteration", max_iter, movement, False)
 
 
-def _schur_block_starts(T: np.ndarray, tol: float) -> list[int]:
-    starts = []
-    n = T.shape[0]
-    i = 0
-    while i < n:
-        starts.append(i)
-        if i + 1 < n and abs(T[i + 1, i]) > tol:
-            i += 2
-        else:
-            i += 1
-    return starts
-
-
 def _block_moduli(T: np.ndarray, tol: float, pos: int):
     """Starts, sizes and eigenvalue moduli of the diagonal blocks at or after pos.
 
-    The blocks are the greedy partition of _schur_block_starts: an
-    above-tol subdiagonal entry T[i+1, i] pairs rows i and i+1.
+    An above-tol subdiagonal entry T[i+1, i] pairs rows i and i+1. gees
+    and trexc return LAPACK's standardized real Schur form, whose
+    subdiagonal is exactly 0 between blocks, so no two such entries are
+    adjacent and every row not paired with the one above starts a block.
     """
     n = T.shape[0]
     paired = np.abs(np.diag(T, -1)) > tol
-    if np.any(paired[1:] & paired[:-1]):
-        # adjacent above-tol entries: only the greedy scan pairs them right
-        starts = np.array(_schur_block_starts(T, tol), dtype=np.intp)
-    else:
-        starts = np.flatnonzero(np.concatenate(([True], ~paired)))
+    starts = np.flatnonzero(np.concatenate(([True], ~paired)))
     starts = starts[starts >= pos]
     sizes = np.diff(np.append(starts, n))
     moduli = np.abs(T[starts, starts])
@@ -414,13 +407,6 @@ class _SchurSort:
             self.pos += int(sizes[best])
 
 
-def _sorted_real_schur(P: np.ndarray):
-    """(T, Z, subdiag_tol) of the real Schur form with every block sorted."""
-    schur = _SchurSort(P)
-    schur.sort_to(P.shape[0])
-    return schur.T, schur.Z, schur.subdiag_tol
-
-
 def build_basis(
     P, K: int, strategy: str = "schur_dominant", seed: int = 0, memo: dict | None = None
 ) -> OrthonormalBasis:
@@ -428,9 +414,11 @@ def build_basis(
 
     schur_dominant: first K vectors of the modulus-sorted real Schur form
     (spanning the dominant invariant subspace); raises SplitConjugatePair
-    when K would cut a 2x2 complex-pair block. svd_top: top-K left
-    singular vectors. random_orthonormal: thin QR of a seeded Gaussian.
-    coordinate: first K standard basis vectors.
+    when K would cut a 2x2 complex-pair block, that is when T[K, K-1] is
+    above the form's subdiag_tol (LAPACK's standardized form is exactly 0
+    there between blocks). svd_top: top-K left singular vectors.
+    random_orthonormal: thin QR of a seeded Gaussian. coordinate: first K
+    standard basis vectors.
 
     memo, if given, is a dict the caller keeps for this one P: the first
     schur_dominant call stores the Schur form in it, sorted only as far as
@@ -487,7 +475,7 @@ def compress(P, U: OrthonormalBasis) -> CompressedOperator:
             f"basis rows {U.n} do not match matrix size {M.shape[0]}"
         )
     A = (U.U.T @ M) @ U.U
-    return CompressedOperator(A, source=M, basis=U)
+    return CompressedOperator(A, basis=U)
 
 
 def _scaled_powers(M: np.ndarray, k_max: int):
@@ -586,10 +574,7 @@ def power_vanishing_check(A, k_max: int, threshold: float) -> VanishingCheck:
         raise InvalidParameterError("k_max must be >= 1")
     if threshold <= 0:
         raise InvalidParameterError("threshold must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vanished, first_k, final_norm = kernels.power_max_norms(
-            kernels.as_kernel_matrix(M), k_max, threshold
-        )
+    vanished, first_k, final_norm = kernels.power_max_norms(M, k_max, threshold)
     return VanishingCheck(bool(vanished), int(first_k) if vanished else None, float(final_norm))
 
 
@@ -627,5 +612,4 @@ def check_compression_radius(P, U: OrthonormalBasis) -> CompressionRadiusCheck:
     """
     M = square_matrix(P)
     rho_P = spectral_radius(M).rho
-    A = compress(M, U)
-    return CompressionRadiusCheck.of(rho_P, spectral_radius(A.A).rho)
+    return CompressionRadiusCheck.of(rho_P, compress(M, U).rho)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from specvi import evaluation, spectral
 from specvi.errors import (
     DimensionMismatchError,
+    EigenFailureError,
     InsufficientTraceError,
     InvalidParameterError,
     PowerOverflowError,
@@ -13,6 +15,7 @@ from specvi.errors import (
     ZeroResidualError,
 )
 from specvi.evaluation import (
+    ConvergenceCertificate,
     IterationTrace,
     RunStatus,
     approximation_error,
@@ -78,6 +81,16 @@ class TestExactVi:
         ratios = r[1:20] / r[:19]
         assert np.all(ratios <= 0.9 + 1e-12)
 
+    def test_fortran_order_chain_has_the_bytes_of_c_order(self):
+        # the kernel takes chain.P.entries as it is; np.dot rounds a
+        # Fortran-order matrix differently, so the chain stores C order
+        chain = random_chain(40, 3)
+        fortran = InducedChain(validate_stochastic(np.asfortranarray(chain.P.entries)), chain.c)
+        assert fortran.P.entries.flags.c_contiguous
+        want, got = exact_vi(chain, 0.99), exact_vi(fortran, 0.99)
+        assert got.v_fixed.tobytes() == want.v_fixed.tobytes()
+        assert got.trace.residuals_2.tobytes() == want.trace.residuals_2.tobytes()
+
 
 class TestProjectedVi:
     def test_alpha_zero(self):
@@ -110,8 +123,6 @@ class TestProjectedVi:
         cert = res.certificate
         assert cert is not None
         assert cert.certified and cert.alpha_rho == pytest.approx(0.9, abs=1e-9)
-        res_off = projected_vi(chain, U, 0.9, compute_certificate=False)
-        assert res_off.certificate is None
 
     def test_divergence_is_status_not_error(self):
         # K=1 compression of a non-normal stochastic matrix can exceed rho=1:
@@ -147,6 +158,36 @@ class TestProjectedVi:
         assert from_op.trace.status is from_basis.trace.status
         assert from_op.certificate is not None
         assert from_op.certificate == from_basis.certificate
+
+    def test_two_runs_on_one_compression_solve_for_rho_once(self, monkeypatch):
+        calls = count_radius_calls(monkeypatch)
+        chain = random_chain(30, 2)
+        op = compress(chain.P, build_basis(chain.P, 5, strategy="random_orthonormal", seed=3))
+        first = projected_vi(chain, op, 0.9)
+        second = projected_vi(chain, op, 0.5)
+        assert len(calls) == 1
+        rho = spectral_radius(op.A).rho
+        assert first.certificate == ConvergenceCertificate.of(0.9, rho)
+        assert second.certificate == ConvergenceCertificate.of(0.5, rho)
+
+    def test_a_failed_rho_is_computed_again(self, monkeypatch):
+        calls = count_radius_calls(monkeypatch, fail_first=True)
+        chain = random_chain(30, 2)
+        op = compress(chain.P, build_basis(chain.P, 5, strategy="random_orthonormal", seed=3))
+        with pytest.raises(EigenFailureError):
+            projected_vi(chain, op, 0.9)
+        res = projected_vi(chain, op, 0.9)
+        assert len(calls) == 2
+        assert res.certificate == ConvergenceCertificate.of(0.9, spectral_radius(op.A).rho)
+
+    def test_no_rho_above_the_certificate_limit(self, monkeypatch):
+        calls = count_radius_calls(monkeypatch)
+        monkeypatch.setattr(evaluation, "CERTIFICATE_SIZE_LIMIT", 4)
+        chain = random_chain(30, 2)
+        op = compress(chain.P, build_basis(chain.P, 5, strategy="random_orthonormal", seed=3))
+        assert projected_vi(chain, op, 0.9).certificate is None
+        assert projected_vi(chain, op.basis, 0.9).certificate is None
+        assert calls == [] and "rho" not in vars(op)
 
     def test_compressed_operator_needs_its_basis(self):
         chain = random_chain(2, 6)
@@ -187,6 +228,21 @@ class TestProjectedVi:
         assert all(errs[i + 1] <= errs[i] + 1e-15 for i in range(len(errs) - 1))
 
 
+def count_radius_calls(monkeypatch, fail_first=False):
+    """Record each spectral.spectral_radius call; optionally fail the first."""
+    calls = []
+    real = spectral.spectral_radius
+
+    def counted(M):
+        calls.append(M)
+        if fail_first and len(calls) == 1:
+            raise EigenFailureError("injected failure")
+        return real(M)
+
+    monkeypatch.setattr(spectral, "spectral_radius", counted)
+    return calls
+
+
 class TestSeriesEval:
     def test_k_zero_returns_b(self):
         b = np.array([1.0, -2.0, 3.0])
@@ -214,6 +270,16 @@ class TestSeriesEval:
     def test_bad_k(self):
         with pytest.raises(InvalidParameterError):
             series_eval(np.eye(2), np.ones(2), 0.5, -1)
+
+    def test_two_dimensional_b_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            series_eval(np.eye(2), np.ones((2, 1)), 0.5, 3)
+
+    def test_fortran_order_A_has_the_bytes_of_c_order(self):
+        A = np.random.default_rng(4).random((40, 40)) / 40
+        b = np.ones(40)
+        want = series_eval(A, b, 0.9, 50)
+        assert series_eval(np.asfortranarray(A), b, 0.9, 50).tobytes() == want.tobytes()
 
 
 class TestDirectSolve:

@@ -98,6 +98,7 @@ class TestConfig:
         cfg = config(tmp_path, K_list=[99])
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateKind:
@@ -325,7 +326,7 @@ class TestInstanceQuantitiesOnce:
         assert len(bases) == 2 * 2
         # per trial: rho(P), then one rho_A per K; the identity's A is P and
         # reuses rho(P), and the projected runs reuse the instance's
-        # compression and rho_A
+        # compression, which keeps its rho
         assert sum(map(len, radii)) == 2 * (1 + 2)
         # per trial: one compression per K
         assert sum(map(len, compressions)) == 2 * 2
@@ -582,7 +583,7 @@ class TestCli:
         assert cli_main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: mdp_source keys {extra} are not read")
-        assert not (tmp_path / "out" / "meta.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_path_with_generator_keys_is_error_line(self, tmp_path, capsys):
         mdp_dir = tmp_path / "mdp"
@@ -596,6 +597,7 @@ class TestCli:
             "error: mdp_source keys ['generator', 'n'] are not read; "
             "a 'path' source takes only ['path']\n"
         )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "generate"])
     @pytest.mark.parametrize("top", [[1, 2], "config", 3])

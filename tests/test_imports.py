@@ -239,8 +239,9 @@ SCHUR_HASHES = """
 
     for mdp in (make_symmetric_walk(300, 0.2, seed=300), make_random_mdp(300, 2, seed=300)):
         P = induce_chain(mdp, Policy(np.zeros(300, dtype=np.int64))).P
-        _, Z, _ = spectral._sorted_real_schur(spectral.square_matrix(P))
-        print(hashlib.sha256(Z.tobytes()).hexdigest())
+        schur = spectral._SchurSort(spectral.square_matrix(P))
+        schur.sort_to(300)
+        print(hashlib.sha256(schur.Z.tobytes()).hexdigest())
 """
 
 

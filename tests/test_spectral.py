@@ -28,9 +28,6 @@ from specvi.mdp import (
 )
 from specvi.spectral import (
     BASIS_STRATEGIES,
-    _block_moduli,
-    _schur_block_starts,
-    _sorted_real_schur,
     OrthonormalBasis,
     bounded_power_constant,
     build_basis,
@@ -439,6 +436,20 @@ class TestCompressionRadius:
         assert np.isfinite(chk.ratio)
 
 
+def _schur_block_starts(T, tol):
+    """Greedy block partition: an above-tol T[i + 1, i] pairs rows i and i + 1."""
+    starts = []
+    n = T.shape[0]
+    i = 0
+    while i < n:
+        starts.append(i)
+        if i + 1 < n and abs(T[i + 1, i]) > tol:
+            i += 2
+        else:
+            i += 1
+    return starts
+
+
 def reference_sorted_real_schur(P):
     """The per-block selection loop the vectorised pass must match byte for byte.
 
@@ -578,25 +589,45 @@ class TestSortedSchurReference:
             P = chain_matrix(make_random_mdp(n, 2, seed=n))
         else:
             P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
-        T, Z, tol = _sorted_real_schur(P)
+        schur = spectral._SchurSort(P)
+        schur.sort_to(n)
         T_ref, Z_ref, tol_ref = reference_sorted_real_schur(P)
-        assert tol == tol_ref
-        assert T.tobytes() == T_ref.tobytes()
-        assert Z.tobytes() == Z_ref.tobytes()
+        assert schur.subdiag_tol == tol_ref
+        assert schur.T.tobytes() == T_ref.tobytes()
+        assert schur.Z.tobytes() == Z_ref.tobytes()
         if make == "random":
-            assert np.count_nonzero(np.abs(np.diag(T, -1)) > tol) > 0
+            assert np.count_nonzero(np.abs(np.diag(schur.T, -1)) > tol_ref) > 0
 
-    def test_adjacent_subdiagonals_pair_greedily(self):
-        # quasi-triangular T with two above-tol subdiagonal entries in a
-        # row: the greedy partition pairs rows 0-1 and leaves row 2 alone
-        T = np.triu(np.arange(1.0, 17.0).reshape(4, 4))
-        T[1, 0] = 0.5
-        T[2, 1] = 0.25
-        assert _schur_block_starts(T, 1e-12) == [0, 2, 3]
-        starts, sizes, moduli = _block_moduli(T, 1e-12, 0)
-        assert starts.tolist() == [0, 2, 3]
-        assert sizes.tolist() == [2, 1, 1]
-        assert moduli[1:].tolist() == [11.0, 16.0]
+
+class TestStandardizedSchurForm:
+    """_block_moduli starts a block at every row not paired with the one
+    above; that partition is the greedy one only because gees and trexc
+    return LAPACK's standardized form, whose subdiagonal is exactly 0
+    between blocks, so no two above-tol entries are adjacent."""
+
+    @staticmethod
+    def no_adjacent_pairs(T, tol):
+        paired = np.abs(np.diag(T, -1)) > tol
+        return not np.any(paired[1:] & paired[:-1])
+
+    @pytest.mark.parametrize("n", [20, 150])
+    @pytest.mark.parametrize("make", ["random", "walk", "gaussian"])
+    def test_gees_and_trexc_never_pair_adjacent_rows(self, make, n):
+        if make == "random":
+            P = chain_matrix(make_random_mdp(n, 2, seed=n))
+        elif make == "walk":
+            P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
+        else:
+            P = np.random.default_rng(n).standard_normal((n, n))
+        schur = spectral._SchurSort(P)  # unsorted: schur.T is _real_schur's T
+        assert self.no_adjacent_pairs(schur.T, schur.subdiag_tol)
+        schur.sort_to(n)
+        assert self.no_adjacent_pairs(schur.T, schur.subdiag_tol)
+        assert _schur_block_starts(schur.T, schur.subdiag_tol) == (
+            spectral._block_moduli(schur.T, schur.subdiag_tol, 0)[0].tolist()
+        )
+        if make != "walk":
+            assert np.count_nonzero(np.abs(np.diag(schur.T, -1)) > schur.subdiag_tol) > 0
 
 
 class TestRealSchur:
