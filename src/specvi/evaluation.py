@@ -27,7 +27,7 @@ from .errors import (
     SingularSystemError,
     ZeroResidualError,
 )
-from .mdp import InducedChain, as_discount
+from .mdp import InducedChain, _frozen_array, as_discount
 from .spectral import CompressedOperator, OrthonormalBasis, compress
 from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -69,13 +69,9 @@ class IterationTrace:
 
     def __post_init__(self):
         for name in ("residuals_inf", "residuals_2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         if self.iterates is not None:
-            it = np.asarray(self.iterates, dtype=np.float64)
-            it.setflags(write=False)
-            object.__setattr__(self, "iterates", it)
+            object.__setattr__(self, "iterates", _frozen_array(self.iterates))
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,7 @@ class EvaluationResult:
     certificate: ConvergenceCertificate | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.v_fixed, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "v_fixed", v)
+        object.__setattr__(self, "v_fixed", _frozen_array(self.v_fixed))
 
 
 @dataclass(frozen=True)
@@ -125,11 +119,11 @@ def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
         A, b, float(alpha), float(tol), int(max_iter), kernels.DIVERGENCE_GUARD, cap
     )
     iterates = None
-    if store_iterates and k_final <= ITERATE_STORAGE_CAP and stored >= k_final + 1:
-        iterates = iter_buf[: k_final + 1].copy()
+    if store_iterates and k_final <= ITERATE_STORAGE_CAP:
+        iterates = iter_buf[: k_final + 1]
     trace = IterationTrace(
-        residuals_inf=res_inf.copy(),
-        residuals_2=res_2.copy(),
+        residuals_inf=res_inf,
+        residuals_2=res_2,
         k_final=int(k_final),
         status=_STATUS_FROM_CODE[code],
         iterates=iterates,
@@ -193,6 +187,18 @@ def projected_vi(
     return EvaluationResult(v_fixed=v, trace=trace, certificate=certificate)
 
 
+def _operands(A, b):
+    """A (an array or a CompressedOperator) and the vector b as C-order
+    float64 copies; A must be square and of b's length."""
+    M = _frozen_array(A.A if isinstance(A, CompressedOperator) else A)
+    vec = _frozen_array(b)
+    if M.ndim != 2 or vec.ndim != 1 or M.shape[0] != M.shape[1] or M.shape[0] != vec.shape[0]:
+        raise DimensionMismatchError(
+            f"incompatible shapes: A {M.shape}, b {vec.shape}"
+        )
+    return M, vec
+
+
 def series_eval(A, b, alpha, k: int) -> np.ndarray:
     """Partial sum sum_{i=0}^{k} alpha^i A^i b via Horner accumulation.
 
@@ -202,17 +208,9 @@ def series_eval(A, b, alpha, k: int) -> np.ndarray:
     """
     if k < 0:
         raise InvalidParameterError("k must be >= 0")
-    M = A.A if isinstance(A, CompressedOperator) else np.asarray(A, dtype=np.float64)
-    vec = np.ascontiguousarray(b, dtype=np.float64)
-    if M.ndim != 2 or vec.ndim != 1 or M.shape[0] != M.shape[1] or M.shape[0] != vec.shape[0]:
-        raise DimensionMismatchError(
-            f"incompatible shapes: A {M.shape}, b {vec.shape}"
-        )
+    M, vec = _operands(A, b)
     a = float(as_discount(alpha))
-    # C order: a Fortran-order A can round differently in the kernel's np.dot
-    x, bad_step = kernels.horner_partial_sum(
-        np.ascontiguousarray(M), vec, a, int(k), kernels.DIVERGENCE_GUARD
-    )
+    x, bad_step = kernels.horner_partial_sum(M, vec, a, int(k), kernels.DIVERGENCE_GUARD)
     if bad_step >= 0:
         raise PowerOverflowError(
             f"partial sum exceeded the divergence guard at sweep {bad_step}",
@@ -228,12 +226,7 @@ def direct_solve(A, b, alpha) -> np.ndarray:
     ||(I - alpha*A)x - b||_inf below ~1e-10*(1 + ||b||_inf) for the
     well-conditioned systems this library produces.
     """
-    M = A.A if isinstance(A, CompressedOperator) else np.asarray(A, dtype=np.float64)
-    vec = np.asarray(b, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != vec.shape[0]:
-        raise DimensionMismatchError(
-            f"incompatible shapes: A {M.shape}, b {vec.shape}"
-        )
+    M, vec = _operands(A, b)
     a = float(as_discount(alpha))
     system = np.eye(M.shape[0]) - a * M
     try:

@@ -222,13 +222,11 @@ class ExperimentReport:
 def emit_trace_csv(result: EvaluationResult, path) -> None:
     """Write "k,residual_inf,residual_2" rows, one per iteration, 17 digits."""
     trace = result.trace
+    rows = zip(range(1, trace.k_final + 1), trace.residuals_inf.tolist(), trace.residuals_2.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "residual_inf", "residual_2"])
-        for k in range(trace.k_final):
-            writer.writerow(
-                [k + 1, format_real(trace.residuals_inf[k]), format_real(trace.residuals_2[k])]
-            )
+        fh.write("k,residual_inf,residual_2\r\n")
+        # streamed: the text of a long trace is never held whole
+        fh.writelines(f"{k},{format_real(i)},{format_real(t)}\r\n" for k, i, t in rows)
 
 
 def read_trace_csv(path):

@@ -10,10 +10,11 @@ steps writes its iterates into rows 1..c of a (c+1) x K buffer whose row
 ``np.dot(A, W[j], out=W[j+1])``, the multiply by alpha and the add of b.
 A few array calls then give every row's residuals, iterate norm and stop
 test at once, and the kernel keeps the steps up to the first row that
-stops. Chunks grow from FIRST_CHUNK to MAX_CHUNK steps (8, 16, 32, 64),
-so a short run computes few steps past its stop. Those steps run under
-``np.errstate``: their overflow or NaN reaches no result and raises no
-warning. The power scan does the same with a chunk of powers: it forms
+stops; the affine kernel keeps each chunk's residuals as one piece and
+joins the pieces once at the end. Chunks grow from FIRST_CHUNK to
+MAX_CHUNK steps (8, 16, 32, 64), so a short run computes few steps past
+its stop. Those steps run under ``np.errstate``: their overflow or NaN
+reaches no result and raises no warning. The power scan does the same with a chunk of powers: it forms
 them by ``np.dot(S[j], A, out=S[j+1])`` in one (c+1) x K x K stack, the
 chunk's first from the previous chunk's last power, then takes their
 absolute values with one call and one max per power. Its
@@ -51,9 +52,6 @@ STATUS_DIVERGED = 2
 #: Iterates whose inf-norm exceeds this are declared diverged.
 DIVERGENCE_GUARD = 1e12
 
-#: Initial length of the residual buffers; they double when full.
-RESIDUAL_CHUNK = 64
-
 #: Steps run between two stopping tests: the first chunk has FIRST_CHUNK
 #: steps and each later one twice as many as the one before, up to
 #: MAX_CHUNK.
@@ -66,12 +64,6 @@ POWER_STACK_DOUBLES = 2**15
 
 #: Recorded in benchmark manifests; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
-
-
-def _grow(buf, size):
-    out = np.empty(size)
-    out[: buf.shape[0]] = buf
-    return out
 
 
 def _chunks(total, most=MAX_CHUNK):
@@ -101,9 +93,10 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     Returns (v, res_inf, res_2, k_final, status, iter_buf, stored) where
     res_* hold one entry per executed step, iter_buf rows 0..stored-1 are
     the iterates v^(0)..v^(stored-1) (row 0 is the zero start) and status
-    is one of the STATUS_* codes. The residual buffers grow by doubling,
-    so their size follows k_final rather than max_iter. Overflow raises
-    no warning; it ends the run as STATUS_DIVERGED.
+    is one of the STATUS_* codes. The residuals are collected chunk by
+    chunk and joined once, so their size follows k_final rather than
+    max_iter. Overflow raises no warning; it ends the run as
+    STATUS_DIVERGED.
     """
     K = b.shape[0]
     width = min(MAX_CHUNK, max_iter)
@@ -113,9 +106,9 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     # Column 0 stays 0.0, the starting value of each row's running sum.
     sq = np.zeros((width, K + 1))
     partial = np.empty((width, K + 1))
-    capacity = min(max_iter, RESIDUAL_CHUNK)
-    res_inf = np.empty(capacity)
-    res_2 = np.empty(capacity)
+    # Each chunk adds its steps' residuals; the empty first piece keeps a
+    # run of no steps joinable.
+    res_inf, res_2 = [np.empty(0)], [np.empty(0)]
     cap_rows = iter_cap + 1 if iter_cap > 0 else 1
     iter_buf = np.zeros((cap_rows, K))
     stored = 1 if iter_cap > 0 else 0
@@ -138,12 +131,8 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
             j = int(stop.argmax())
             n = j + 1 if stop[j] else c
             k_final = k0 + n
-            if k_final > capacity:
-                capacity = min(2 * capacity, max_iter)
-                res_inf = _grow(res_inf, capacity)
-                res_2 = _grow(res_2, capacity)
-            res_inf[k0:k_final] = r_inf[:n]
-            np.sqrt(r_sq[:n], out=res_2[k0:k_final])
+            res_inf.append(r_inf[:n])
+            res_2.append(np.sqrt(r_sq[:n]))
             if stored > 0 and k0 < iter_cap:
                 last = min(k_final, iter_cap)
                 iter_buf[k0 + 1 : last + 1] = W[1 : last - k0 + 1]
@@ -152,7 +141,7 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
                 status = STATUS_DIVERGED if diverged[j] else STATUS_CONVERGED
                 break
     v = W[n].copy()
-    return v, res_inf[:k_final], res_2[:k_final], k_final, status, iter_buf, stored
+    return v, np.concatenate(res_inf), np.concatenate(res_2), k_final, status, iter_buf, stored
 
 
 def horner_partial_sum(A, b, alpha, k, guard):

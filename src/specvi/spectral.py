@@ -51,7 +51,7 @@ from .errors import (
     PowerOverflowError,
     SplitConjugatePairError,
 )
-from .mdp import DiscountFactor, StochasticMatrix, as_discount
+from .mdp import DiscountFactor, StochasticMatrix, _frozen_array, as_discount
 
 #: Above this size the dense eigensolver refuses; use an explicit estimator.
 #: It is the documented scope, n <= 2000, where one dense eigvals takes
@@ -127,7 +127,7 @@ class OrthonormalBasis:
     strategy: str = "custom"
 
     def __post_init__(self):
-        U = np.ascontiguousarray(self.U, dtype=np.float64)
+        U = _frozen_array(self.U)
         if U.ndim != 2:
             raise DimensionMismatchError("basis must be a 2-D array")
         n, K = U.shape
@@ -138,7 +138,6 @@ class OrthonormalBasis:
             raise InvalidParameterError(
                 f"columns are not orthonormal: ||U^T U - I||_max = {gram_err:.3e}"
             )
-        U.setflags(write=False)
         object.__setattr__(self, "U", U)
 
     @property
@@ -162,10 +161,13 @@ class CompressedOperator:
     basis: OrthonormalBasis | None = None
 
     def __post_init__(self):
-        A = np.ascontiguousarray(self.A, dtype=np.float64)
+        A = _frozen_array(self.A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise NonSquareError(f"compressed operator must be square, got {A.shape}")
-        A.setflags(write=False)
+        if self.basis is not None and self.basis.K != A.shape[0]:
+            raise DimensionMismatchError(
+                f"basis has K={self.basis.K} columns, compressed operator is {A.shape}"
+            )
         object.__setattr__(self, "A", A)
 
     @property
@@ -185,9 +187,7 @@ class GelfandSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
     @property
     def k_max(self) -> int:
@@ -462,9 +462,10 @@ def build_basis(
                 f"K={K} cuts a 2x2 complex-pair Schur block; use K={K + 1} "
                 "or another strategy"
             )
-        # a copy: the memo's Z stays the working array of later passes
-        U = np.array(schur.Z[:, :K], order="C")
-    return OrthonormalBasis(np.ascontiguousarray(U), strategy)
+        # OrthonormalBasis keeps a copy; the memo's Z stays the working
+        # array of later passes
+        U = schur.Z[:, :K]
+    return OrthonormalBasis(U, strategy)
 
 
 def compress(P, U: OrthonormalBasis) -> CompressedOperator:

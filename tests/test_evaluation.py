@@ -16,6 +16,7 @@ from specvi.errors import (
 )
 from specvi.evaluation import (
     ConvergenceCertificate,
+    EvaluationResult,
     IterationTrace,
     RunStatus,
     approximation_error,
@@ -29,6 +30,7 @@ from specvi.evaluation import (
 from specvi.mdp import InducedChain, Policy, induce_chain, make_random_mdp, make_symmetric_walk, validate_stochastic
 from specvi.spectral import (
     CompressedOperator,
+    GelfandSequence,
     OrthonormalBasis,
     build_basis,
     compress,
@@ -44,6 +46,31 @@ def walk_chain(n, seed, self_loop=0.2):
 def random_chain(n, seed, m=2):
     mdp = make_random_mdp(n, m, seed=seed)
     return induce_chain(mdp, Policy(np.zeros(n, dtype=int)))
+
+
+def _trace(n, **kw):
+    return IterationTrace(np.ones(n), np.ones(n), n, RunStatus.CONVERGED, **kw)
+
+
+@pytest.mark.parametrize(
+    "make, given",
+    [
+        (lambda a: OrthonormalBasis(a).U, np.eye(4)[:, :2].copy()),
+        (lambda a: CompressedOperator(a).A, 0.5 * np.eye(3)),
+        (lambda a: GelfandSequence("two_norm", a).values, np.ones(3)),
+        (lambda a: IterationTrace(a, np.ones(3), 3, RunStatus.CONVERGED).residuals_inf, np.ones(3)),
+        (lambda a: IterationTrace(np.ones(3), a, 3, RunStatus.CONVERGED).residuals_2, np.ones(3)),
+        (lambda a: _trace(1, iterates=a).iterates, np.ones((2, 3))),
+        (lambda a: EvaluationResult(a, _trace(1)).v_fixed, np.ones(3)),
+    ],
+    ids=["basis", "compression", "gelfand", "residuals_inf", "residuals_2", "iterates", "v_fixed"],
+)
+def test_value_types_own_their_arrays(make, given):
+    assert given.flags.writeable and given.flags.c_contiguous
+    stored = make(given)
+    assert given.flags.writeable
+    assert not np.shares_memory(stored, given)
+    assert not stored.flags.writeable and stored.flags.c_contiguous
 
 
 class TestExactVi:
@@ -302,6 +329,10 @@ class TestDirectSolve:
     def test_singular_system(self):
         with pytest.raises(SingularSystemError):
             direct_solve(2.0 * np.eye(2), np.ones(2), 0.5)
+
+    def test_two_dimensional_b_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            direct_solve(0.5 * np.eye(2), np.ones((2, 1)), 0.9)
 
 
 class TestReconstruct:

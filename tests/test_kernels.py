@@ -158,7 +158,7 @@ def test_chunk_edges_follow_the_schedule():
     [
         (1.0, 0.9, 1e-10, 100000, 0),  # converges after ~200 steps, mid-chunk
         (1.0, 0.95, 1e-10, 100000, 40),  # converges; first 40 iterates stored
-        (1.0, 0.99, 1e-300, 130, 200),  # max_iter, buffers grow past 64 and 128
+        (1.0, 0.99, 1e-300, 130, 200),  # max_iter, inside the fifth chunk
         (1.0, 0.99, 1e-300, 120, 13),  # max_iter on a chunk edge; storage ends mid-chunk
         (1.0, 0.99, 1e-300, 3, 5),  # max_iter inside the first chunk
         (3.0, 0.9, 1e-10, 100000, 5),  # diverges past the guard mid-chunk (step 29 or 30)
@@ -363,7 +363,7 @@ def test_residual_buffers_follow_iterations_not_max_iter(alpha):
     _, ri, r2, k, status, _, _ = kernels.affine_iteration(A, b, alpha, 1e-12, 100000, 1e12, 0)
     assert status == kernels.STATUS_CONVERGED
     for res in (ri, r2):
-        assert res.base.size <= max(kernels.RESIDUAL_CHUNK, 2 * k)
+        assert res.size == k and res.flags.owndata
 
 
 def test_iterate_buffer_contents():

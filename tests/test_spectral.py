@@ -28,6 +28,7 @@ from specvi.mdp import (
 )
 from specvi.spectral import (
     BASIS_STRATEGIES,
+    CompressedOperator,
     OrthonormalBasis,
     bounded_power_constant,
     build_basis,
@@ -218,6 +219,12 @@ class TestCompress:
         U = build_basis(np.eye(4), 2, strategy="coordinate")
         with pytest.raises(DimensionMismatchError):
             compress(np.eye(5), U)
+
+    def test_basis_must_match_the_operator_size(self):
+        U = build_basis(np.eye(4), 2, strategy="coordinate")
+        with pytest.raises(DimensionMismatchError):
+            CompressedOperator(np.eye(3), basis=U)
+        assert CompressedOperator(np.eye(2), basis=U).basis is U
 
 
 class TestGelfand:
