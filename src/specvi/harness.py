@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.percentile reaches it through np.unique; numpy 2 loads it lazily)
 
 from .errors import ConfigError, SpecviError
 from .evaluation import (
@@ -625,6 +624,25 @@ def _gelfand_summary(records, findings):
     return {"max_gelfand_err": max(errs, default=None)}
 
 
+def _linear_quantile(xs, q):
+    """np.percentile(xs, 100 * q) for a sorted nonempty list xs, by numpy's
+    default "linear" rule with numpy's own operations, so the bytes match.
+
+    np.percentile itself would load numpy.ma, through np.unique. As in
+    numpy, a position past the last index takes the last value for both
+    neighbours and measures the weight from index -1.
+    """
+    h = (len(xs) - 1) * q
+    i = math.floor(h)
+    j = i + 1
+    if j >= len(xs):
+        i = j = -1
+    t = h - i
+    a, b = xs[i], xs[j]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def _proposition_summary(records, findings):
     ratios = sorted(
         r["ratio"]
@@ -638,7 +656,7 @@ def _proposition_summary(records, findings):
             "min": ratios[0] if ratios else None,
             "max": ratios[-1] if ratios else None,
             "mean": float(np.mean(ratios)) if ratios else None,
-            "quartiles": [float(np.percentile(ratios, q)) for q in (25, 50, 75)]
+            "quartiles": [_linear_quantile(ratios, q) for q in (0.25, 0.5, 0.75)]
             if ratios
             else None,
         },

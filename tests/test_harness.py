@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from specvi import evaluation, harness, spectral
@@ -424,6 +426,28 @@ class TestPropositionSuite:
     def test_wrong_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             proposition_suite(config(tmp_path, kind="evaluate"))
+
+
+# ratios as proposition_suite sees them: nonnegative, often repeated, and
+# inf where rho(P) is 0
+RATIOS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2.0**-52, np.inf]),
+        st.floats(min_value=0.0, max_value=1e300),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(RATIOS)
+def test_quartiles_match_numpy_percentile(ratios):
+    ratios = sorted(ratios)
+    with np.errstate(invalid="ignore"):  # numpy's inf - inf
+        want = [float(np.percentile(ratios, q)) for q in (25, 50, 75)]
+    got = [harness._linear_quantile(ratios, q) for q in (0.25, 0.5, 0.75)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestReportWrite:

@@ -2,8 +2,8 @@
 
 scipy's LAPACK extension is loaded on the first Schur build and nowhere
 else, without the scipy.linalg package, and with the shortest idle timeout
-for the thread pool of scipy's OpenBLAS; numpy's lazily loaded submodules
-are imported with specvi, so no batch pays for them.
+for the thread pool of scipy's OpenBLAS; the lazily loaded numpy submodules
+that a batch uses are imported with specvi, so no batch pays for them.
 """
 
 import json

@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
@@ -357,6 +358,147 @@ class TestGelfand:
         for kind in ("two_norm", "inf_norm"):
             seq = gelfand_sequence(M, 200, kind)
             assert abs(seq.values[-1] - rho) <= max(1e-6, 0.05 * rho)
+
+
+def reference_scaled_powers(M, k_max):
+    """The scaled power chain step by step: per power one product, one peak
+    scan, the overflow test and the rescale; zero powers are yielded too."""
+    B = M.copy()
+    log_scale = 0.0
+    for k in range(1, k_max + 1):
+        yield k, B, log_scale
+        if k < k_max:
+            B = B @ M
+            peak = float(np.abs(B).max())
+            if not math.isfinite(peak):
+                raise PowerOverflowError(f"A^{k + 1} left the representable range", k=k + 1)
+            if peak > spectral._RESCALE_HI or 0.0 < peak < spectral._RESCALE_LO:
+                B = B / peak
+                log_scale += math.log(peak)
+
+
+def reference_sequence(M, k_max, kind):
+    """gelfand_sequence(M, k_max, kind).values from the reference chain."""
+    norm = two_norm if kind == "two_norm" else inf_norm
+    values = np.zeros(k_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, B, log_scale in reference_scaled_powers(M, k_max):
+            nrm = norm(B)
+            if not math.isfinite(nrm):
+                raise PowerOverflowError(f"||A^{k}|| is not finite", k=k)
+            if nrm == 0.0:
+                break
+            values[k - 1] = math.exp((log_scale + math.log(nrm)) / k)
+    return values
+
+
+def chain_steps(chain):
+    """(k, bytes of B, log_scale in hex) per power up to the first zero one,
+    then the PowerOverflowError's k and message if the chain raises."""
+    steps = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, B, log_scale in chain:
+                if not B.any():
+                    break
+                steps.append((k, B.tobytes(), log_scale.hex()))
+    except PowerOverflowError as exc:
+        steps.append(("raises", exc.k, str(exc)))
+    return steps
+
+
+def in_window(B):
+    return spectral._RESCALE_LO <= np.abs(B).max() <= spectral._RESCALE_HI
+
+
+def random_chain_matrix(n, seed):
+    return induce_chain(make_random_mdp(n, 2, seed=seed), Policy(np.zeros(n, dtype=np.int64))).P.entries
+
+
+def negative_entry():
+    M = random_stochastic(8, 5)
+    M[2, 3] = -1e-13
+    return M
+
+
+def zero_row():
+    M = random_stochastic(6, 6)
+    M[4] = 0.0
+    return M
+
+
+# (operand, k_max, its horizon, whether the power after the horizon leaves
+# the rescaling window: where it does, no larger horizon is sound); powers
+# past the horizon are scanned
+HORIZON_CASES = {
+    "half-stochastic": (0.5 * random_stochastic(8, 3), 400, 329, True),
+    "triple-stochastic": (3.0 * random_stochastic(8, 4), 300, 209, False),
+    # every entry equal: the peak is the row sum / n, the bound's low end
+    "half-uniform": (np.full((8, 8), 0.5 / 8), 400, 329, True),
+    # the peak is the row sum, the bound's high end
+    "twice-identity": (2.0 * np.eye(3), 400, 332, True),
+    "negative-entry": (negative_entry(), 60, 0, False),
+    "zero-row": (zero_row(), 40, 0, False),
+    "nilpotent": (np.array([[0.0, 1.0], [0.0, 0.0]]), 5, 0, False),
+}
+
+
+class TestScanFreeChain:
+    """The chain skips the peak scan up to a horizon proven from the row sums;
+    every power, value and error must stay those of the step-by-step chain."""
+
+    @pytest.mark.parametrize("name", HORIZON_CASES)
+    def test_horizon(self, name):
+        M, k_max, horizon, _ = HORIZON_CASES[name]
+        assert spectral._scan_free_horizon(M, k_max) == horizon
+
+    @pytest.mark.parametrize("name", HORIZON_CASES)
+    def test_every_power_up_to_the_horizon_is_in_the_window(self, name):
+        M, k_max, _, leaves = HORIZON_CASES[name]
+        horizon = spectral._scan_free_horizon(M, k_max)
+        B = M.copy()
+        for _ in range(horizon):
+            assert in_window(B)
+            B = B @ M
+        assert in_window(B) != leaves
+
+    @pytest.mark.parametrize("name", HORIZON_CASES)
+    def test_chain_matches_reference(self, name):
+        M, k_max, _, _ = HORIZON_CASES[name]
+        want = chain_steps(reference_scaled_powers(M, k_max))
+        assert chain_steps(spectral._scaled_powers(M, k_max)) == want
+
+    @pytest.mark.parametrize("name", HORIZON_CASES)
+    def test_sequences_and_finals_match_reference(self, name):
+        M, k_max, _, _ = HORIZON_CASES[name]
+        for kind in ("two_norm", "inf_norm"):
+            got = gelfand_sequence(M, k_max, kind).values
+            want = reference_sequence(M, k_max, kind)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        TestGelfand().assert_finals_match_sequences(M, k_max)
+
+    def test_overflow_past_the_horizon_matches_reference(self):
+        # 1e300 * (J / 2): row sums 1e300, so no power is proven in the window
+        M = np.full((2, 2), 0.5e300)
+        assert spectral._scan_free_horizon(M, 10) == 0
+        want = chain_steps(reference_scaled_powers(M, 10))
+        assert want[-1] == ("raises", 2, "A^2 left the representable range")
+        assert chain_steps(spectral._scaled_powers(M, 10)) == want
+        # the inf-norm sequence reaches that product; it raises, and warns of nothing
+        with pytest.raises(PowerOverflowError, match=r"A\^2 left") as exc:
+            gelfand_sequence(M, 10, "inf_norm")
+        assert exc.value.k == 2
+
+    def test_random_chain_at_n150_is_never_scanned(self):
+        P = random_chain_matrix(150, 0)
+        assert spectral._scan_free_horizon(P, 200) == 200
+        steps = list(reference_scaled_powers(P, 200))
+        assert chain_steps(spectral._scaled_powers(P, 200)) == chain_steps(iter(steps))
+        _, B, log_scale = steps[-1]
+        want = tuple(
+            math.exp((log_scale + math.log(norm(B))) / 200).hex() for norm in (two_norm, inf_norm)
+        )
+        assert tuple(v.hex() for v in gelfand_finals(P, 200)) == want
 
 
 class TestPowerVanishing:
