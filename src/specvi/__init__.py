@@ -21,7 +21,6 @@ from .errors import (
     ZeroResidualError,
 )
 from .mdp import (
-    DiscountFactor,
     InducedChain,
     Mdp,
     Policy,
@@ -38,21 +37,16 @@ from .mdp import (
     write_mdp,
 )
 from .spectral import (
-    BoundedPowerEstimate,
     CompressedOperator,
     CompressionRadiusCheck,
     GelfandSequence,
     OrthonormalBasis,
-    SpectralEstimate,
     VanishingCheck,
-    bounded_power_constant,
     build_basis,
-    check_compression_radius,
     compress,
     gelfand_finals,
     gelfand_sequence,
     inf_norm,
-    power_iteration_radius,
     power_vanishing_check,
     spectral_radius,
     two_norm,

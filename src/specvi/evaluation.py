@@ -143,7 +143,7 @@ def exact_vi(
     Stops when the successive-difference infinity norm falls to tol.
     Always converges eventually: alpha*||P||_inf = alpha < 1.
     """
-    a = float(as_discount(alpha))
+    a = as_discount(alpha)
     v, trace = _run_affine(chain.P.entries, chain.c, a, tol, max_iter, store_iterates)
     return EvaluationResult(v_fixed=v, trace=trace, certificate=None)
 
@@ -176,7 +176,7 @@ def projected_vi(
         raise DimensionMismatchError(
             f"basis rows {U.n} do not match chain size {chain.n}"
         )
-    a = float(as_discount(alpha))
+    a = as_discount(alpha)
     if op is None:
         op = compress(chain.P, U)
     b = U.U.T @ chain.c
@@ -209,7 +209,7 @@ def series_eval(A, b, alpha, k: int) -> np.ndarray:
     if k < 0:
         raise InvalidParameterError("k must be >= 0")
     M, vec = _operands(A, b)
-    a = float(as_discount(alpha))
+    a = as_discount(alpha)
     x, bad_step = kernels.horner_partial_sum(M, vec, a, int(k), kernels.DIVERGENCE_GUARD)
     if bad_step >= 0:
         raise PowerOverflowError(
@@ -227,7 +227,7 @@ def direct_solve(A, b, alpha) -> np.ndarray:
     well-conditioned systems this library produces.
     """
     M, vec = _operands(A, b)
-    a = float(as_discount(alpha))
+    a = as_discount(alpha)
     system = np.eye(M.shape[0]) - a * M
     try:
         x = np.linalg.solve(system, vec)

@@ -366,7 +366,7 @@ class Instance:
 
     @property
     def rho_P(self) -> float:
-        return self._cached("rho_P", lambda: spectral_radius(self.chain.P).rho)
+        return self._cached("rho_P", lambda: spectral_radius(self.chain.P))
 
     def basis(self, K: int):
         return self._cached(

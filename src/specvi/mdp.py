@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; import it here, not in a batch)
@@ -169,27 +169,12 @@ class InducedChain:
         return self.P.n
 
 
-@dataclass(frozen=True)
-class DiscountFactor:
-    """Discount factor alpha with 0 <= alpha < 1 (strict)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (0.0 <= a < 1.0):
-            raise InvalidParameterError(f"alpha must be in [0, 1), got {a}")
-        object.__setattr__(self, "alpha", a)
-
-    def __float__(self):
-        return self.alpha
-
-
-def as_discount(alpha) -> DiscountFactor:
-    """Coerce a float (validating the [0,1) range) or pass a DiscountFactor through."""
-    if isinstance(alpha, DiscountFactor):
-        return alpha
-    return DiscountFactor(float(alpha))
+def as_discount(alpha) -> float:
+    """alpha as a float, validated to lie in [0, 1) (strict)."""
+    a = float(alpha)
+    if not (0.0 <= a < 1.0):
+        raise InvalidParameterError(f"alpha must be in [0, 1), got {a}")
+    return a
 
 
 def induce_chain(mdp: Mdp, policy: Policy) -> InducedChain:

@@ -61,9 +61,9 @@ from .errors import (
     PowerOverflowError,
     SplitConjugatePairError,
 )
-from .mdp import DiscountFactor, StochasticMatrix, _frozen_array, as_discount
+from .mdp import StochasticMatrix, _frozen_array
 
-#: Above this size the dense eigensolver refuses; use an explicit estimator.
+#: Above this size the dense eigensolver refuses.
 #: It is the documented scope, n <= 2000, where one dense eigvals takes
 #: about 3 s.
 DENSE_EIG_LIMIT = 2000
@@ -91,6 +91,8 @@ def square_matrix(M) -> np.ndarray:
     out = np.ascontiguousarray(M, dtype=np.float64)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {out.shape}")
+    if out.shape[0] < 1:
+        raise NonSquareError("matrix must be at least 1x1")
     return out
 
 
@@ -119,17 +121,6 @@ def inf_norm(M) -> float:
     """Induced infinity norm: maximum absolute row sum."""
     M = np.asarray(M, dtype=np.float64)
     return float(np.abs(M).sum(axis=1).max())
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Spectral-radius value plus how it was obtained."""
-
-    rho: float
-    method: str
-    iterations: int
-    residual: float
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,7 @@ class CompressedOperator:
 
     @cached_property
     def rho(self) -> float:
-        return spectral_radius(self.A).rho
+        return spectral_radius(self.A)
 
 
 @dataclass(frozen=True)
@@ -205,15 +196,6 @@ class GelfandSequence:
     @property
     def k_max(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class BoundedPowerEstimate:
-    """M = max_k ||(sqrt(alpha) A)^k||_2 over k = 0..k_max."""
-
-    M: float
-    k_max: int
-    alpha: DiscountFactor
 
 
 @dataclass(frozen=True)
@@ -238,68 +220,25 @@ class CompressionRadiusCheck:
         return cls(rho_P=rho_P, rho_A=rho_A, ratio=rho_A / rho_P if rho_P > 0 else math.inf)
 
 
-def spectral_radius(M) -> SpectralEstimate:
+def spectral_radius(M) -> float:
     """Exact spectral radius max_i |lambda_i(M)| via the dense eigensolver.
 
     Restricted to n <= DENSE_EIG_LIMIT (2000, the documented scope); for
-    larger matrices request an estimator explicitly
-    (power_iteration_radius or gelfand_sequence).
+    larger matrices gelfand_sequence gives upper bounds ||A^k||^(1/k) that
+    converge to it.
     """
     A = square_matrix(M)
     n = A.shape[0]
     if n > DENSE_EIG_LIMIT:
         raise MatrixTooLargeError(
             f"n={n} exceeds the dense limit {DENSE_EIG_LIMIT}, the documented "
-            "scope; use power_iteration_radius or gelfand_sequence instead"
+            "scope; use gelfand_sequence instead"
         )
     try:
         eigs = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError("dense eigensolver did not converge") from exc
-    return SpectralEstimate(
-        rho=float(np.abs(eigs).max()),
-        method="dense_eig",
-        iterations=0,
-        residual=0.0,
-    )
-
-
-def power_iteration_radius(
-    M, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0
-) -> SpectralEstimate:
-    """Dominant eigenvalue modulus by normalized power iteration.
-
-    Starts from a seeded random unit vector; the returned residual is the
-    final Rayleigh-quotient movement. Convergence additionally requires a
-    small eigenpair residual ||Mv - nu*v||, so a tie in modulus between
-    distinct eigenvalues (e.g. +1/-1, or a complex pair) surfaces as
-    converged=False rather than a silently wrong value. Unreliable by
-    nature whenever the dominant modulus is attained more than once.
-    """
-    A = square_matrix(M)
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    n = A.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    nu_prev = np.inf
-    nu = 0.0
-    movement = np.inf
-    for it in range(1, max_iter + 1):
-        w = A @ v
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            # v landed in the kernel; modulus estimate collapses to 0
-            return SpectralEstimate(0.0, "power_iteration", it, 0.0, True)
-        nu = float(v @ w)
-        movement = abs(nu - nu_prev)
-        pair_residual = float(np.linalg.norm(w - nu * v))
-        v = w / wn
-        if movement <= tol and pair_residual <= tol * max(1.0, abs(nu)):
-            return SpectralEstimate(abs(nu), "power_iteration", it, movement, True)
-        nu_prev = nu
-    return SpectralEstimate(abs(nu), "power_iteration", max_iter, movement, False)
+    return float(np.abs(eigs).max())
 
 
 def _block_moduli(T: np.ndarray, tol: float, pos: int):
@@ -661,40 +600,3 @@ def power_vanishing_check(A, k_max: int, threshold: float) -> VanishingCheck:
         raise InvalidParameterError("threshold must be positive")
     vanished, first_k, final_norm = kernels.power_max_norms(M, k_max, threshold)
     return VanishingCheck(bool(vanished), int(first_k) if vanished else None, float(final_norm))
-
-
-def bounded_power_constant(A, alpha, k_max: int) -> BoundedPowerEstimate:
-    """M = max_{0 <= k <= k_max} ||(sqrt(alpha) A)^k||_2 (the k=0 term is 1).
-
-    Raw repeated multiplication, so transient growth of non-normal A is
-    measured; a power leaving the representable range raises
-    PowerOverflowError, which numerically indicates rho(sqrt(alpha) A) >= 1.
-    """
-    M = square_matrix(A)
-    alpha = as_discount(alpha)
-    if k_max < 1:
-        raise InvalidParameterError("k_max must be >= 1")
-    S = math.sqrt(float(alpha)) * M
-    B = np.eye(M.shape[0])
-    bound = 1.0
-    for k in range(1, k_max + 1):
-        B = B @ S
-        nrm = two_norm(B)
-        if not math.isfinite(nrm):
-            raise PowerOverflowError(
-                f"||(sqrt(alpha) A)^{k}||_2 is not finite", k=k
-            )
-        if nrm > bound:
-            bound = nrm
-    return BoundedPowerEstimate(M=bound, k_max=k_max, alpha=alpha)
-
-
-def check_compression_radius(P, U: OrthonormalBasis) -> CompressionRadiusCheck:
-    """Measure rho(P) and rho(U^T P U) by the dense path and report both.
-
-    This tests the claim that compression preserves the spectral radius
-    instead of assuming it; callers aggregate the measured ratios.
-    """
-    M = square_matrix(P)
-    rho_P = spectral_radius(M).rho
-    return CompressionRadiusCheck.of(rho_P, compress(M, U).rho)

@@ -130,10 +130,10 @@ def test_criterion_4_rate_equivalence():
     alpha = 0.95
     for idx in range(10):
         chain = _chain_of(make_symmetric_walk(40, 0.2, seed=4000 + idx))
-        rho_P = spectral_radius(chain.P).rho
+        rho_P = spectral_radius(chain.P)
         U = build_basis(chain.P, 8, strategy="schur_dominant")
         A = compress(chain.P, U)
-        rho_A = spectral_radius(A.A).rho
+        rho_A = spectral_radius(A.A)
         exact = exact_vi(chain, alpha, tol=1e-10)
         proj = projected_vi(chain, U, alpha, tol=1e-10)
         r_e = rate_estimate(exact.trace, 20, predicted_rate=alpha * rho_P)
@@ -154,7 +154,7 @@ def test_criterion_5_gelfand_convergence():
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         M = Q @ np.diag(rho_t * np.linspace(-1.0, 1.0, n)) @ Q.T
         M = (M + M.T) / 2
-        rho = spectral_radius(M).rho
+        rho = spectral_radius(M)
         seq2 = gelfand_sequence(M, 200, "two_norm")
         seqi = gelfand_sequence(M, 200, "inf_norm")
         tol = max(1e-6, 0.05 * rho)
@@ -167,8 +167,8 @@ def test_criterion_5_gelfand_convergence():
         n = int(rng.integers(10, 31))
         rho_t = 0.15 + 0.85 * i / 9
         G = rng.standard_normal((n, n))
-        M = G * (rho_t / spectral_radius(G).rho)
-        rho = spectral_radius(M).rho
+        M = G * (rho_t / spectral_radius(G))
+        rho = spectral_radius(M)
         seq2 = gelfand_sequence(M, 200, "two_norm")
         seqi = gelfand_sequence(M, 200, "inf_norm")
         tol = max(1e-6, 0.05 * rho)
@@ -204,7 +204,7 @@ def test_criterion_7_perron_sanity():
         n = int(rng.integers(5, 101))
         M = rng.random((n, n))
         M /= M.sum(axis=1, keepdims=True)
-        if abs(spectral_radius(M).rho - 1.0) > 1e-10:
+        if abs(spectral_radius(M) - 1.0) > 1e-10:
             ok = False
     _verdict(7, "Perron sanity", ok)
 

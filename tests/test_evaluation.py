@@ -193,7 +193,7 @@ class TestProjectedVi:
         first = projected_vi(chain, op, 0.9)
         second = projected_vi(chain, op, 0.5)
         assert len(calls) == 1
-        rho = spectral_radius(op.A).rho
+        rho = spectral_radius(op.A)
         assert first.certificate == ConvergenceCertificate.of(0.9, rho)
         assert second.certificate == ConvergenceCertificate.of(0.5, rho)
 
@@ -205,7 +205,7 @@ class TestProjectedVi:
             projected_vi(chain, op, 0.9)
         res = projected_vi(chain, op, 0.9)
         assert len(calls) == 2
-        assert res.certificate == ConvergenceCertificate.of(0.9, spectral_radius(op.A).rho)
+        assert res.certificate == ConvergenceCertificate.of(0.9, spectral_radius(op.A))
 
     def test_no_rho_above_the_certificate_limit(self, monkeypatch):
         calls = count_radius_calls(monkeypatch)
@@ -395,7 +395,7 @@ class TestRateEstimate:
 
     def test_exact_rate_tracks_alpha_rho(self):
         chain = walk_chain(40, 17)
-        rho = spectral_radius(chain.P).rho
+        rho = spectral_radius(chain.P)
         res = exact_vi(chain, 0.95, tol=1e-10)
         rate = rate_estimate(res.trace, 20, predicted_rate=0.95 * rho)
         assert abs(rate.empirical_rate / rate.predicted_rate - 1.0) <= 0.02
@@ -404,7 +404,7 @@ class TestRateEstimate:
         chain = walk_chain(40, 17)
         U = build_basis(chain.P, 8, strategy="schur_dominant")
         A = compress(chain.P, U)
-        rho_A = spectral_radius(A.A).rho
+        rho_A = spectral_radius(A.A)
         res = projected_vi(chain, U, 0.95, tol=1e-10)
         rate = rate_estimate(res.trace, 20, predicted_rate=0.95 * rho_A)
         assert abs(rate.empirical_rate / rate.predicted_rate - 1.0) <= 0.02

@@ -4,8 +4,12 @@ scipy's LAPACK extension is loaded on the first Schur build and nowhere
 else, without the scipy.linalg package, and with the shortest idle timeout
 for the thread pool of scipy's OpenBLAS; the lazily loaded numpy submodules
 that a batch uses are imported with specvi, so no batch pays for them.
+The last test reads the source instead: every module-level import of a
+specvi module is used, or marked as kept with "# noqa: F401".
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -250,3 +254,41 @@ def test_schur_vectors_do_not_depend_on_how_the_extension_was_loaded():
     through_package = run_fresh("import scipy.linalg\n" + textwrap.dedent(SCHUR_HASHES))
     assert len(through_loader.split()) == 2
     assert through_loader == through_package
+
+
+def unused_imports(path):
+    """(line, name) of each module-level import whose bound name the module
+    never reads, unless the alias's own line carries "# noqa: F401"."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in stmt.names:
+            # "import a.b" binds a; "from m import a as b" binds b
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append((alias.lineno, name))
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    package = os.path.dirname(os.path.abspath(specvi.__file__))
+    modules = sorted(glob.glob(os.path.join(package, "*.py")))
+    found = {
+        os.path.basename(path): unused_imports(path)
+        for path in modules
+        if os.path.basename(path) != "__init__.py"
+    }
+    assert found
+    assert {module: names for module, names in found.items() if names} == {}

@@ -283,14 +283,14 @@ class TestMdpIo:
 
 class TestTypes:
     def test_discount_factor_range(self):
-        from specvi.mdp import DiscountFactor, as_discount
+        from specvi.mdp import as_discount
 
-        assert float(DiscountFactor(0.0)) == 0.0
-        assert float(as_discount(0.99)) == 0.99
+        assert as_discount(0.0) == 0.0
+        assert as_discount(0.99) == 0.99
+        with pytest.raises(InvalidParameterError, match=r"alpha must be in \[0, 1\), got 1.0"):
+            as_discount(1.0)
         with pytest.raises(InvalidParameterError):
-            DiscountFactor(1.0)
-        with pytest.raises(InvalidParameterError):
-            DiscountFactor(-0.01)
+            as_discount(-0.01)
 
     def test_induced_chain_checks(self):
         P = validate_stochastic(np.eye(2))

@@ -30,15 +30,13 @@ from specvi.mdp import (
 from specvi.spectral import (
     BASIS_STRATEGIES,
     CompressedOperator,
+    CompressionRadiusCheck,
     OrthonormalBasis,
-    bounded_power_constant,
     build_basis,
-    check_compression_radius,
     compress,
     gelfand_finals,
     gelfand_sequence,
     inf_norm,
-    power_iteration_radius,
     power_vanishing_check,
     spectral_radius,
     two_norm,
@@ -62,15 +60,15 @@ def conjugated_spectrum(eigs, seed):
 
 class TestSpectralRadius:
     def test_identity(self):
-        assert spectral_radius(np.eye(4)).rho == 1.0
+        assert spectral_radius(np.eye(4)) == 1.0
 
     def test_nilpotent(self):
-        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])).rho == 0.0
+        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
 
     def test_stochastic_perron(self):
-        est = spectral_radius(np.array([[0.5, 0.5], [0.25, 0.75]]))
-        assert abs(est.rho - 1.0) <= 1e-12
-        assert est.method == "dense_eig"
+        rho = spectral_radius(np.array([[0.5, 0.5], [0.25, 0.75]]))
+        assert type(rho) is float
+        assert abs(rho - 1.0) <= 1e-12
 
     def test_non_square(self):
         with pytest.raises(NonSquareError):
@@ -83,38 +81,31 @@ class TestSpectralRadius:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_perron_on_random_stochastic(self, seed):
-        est = spectral_radius(random_stochastic(30, seed))
-        assert abs(est.rho - 1.0) <= 1e-10
+        rho = spectral_radius(random_stochastic(30, seed))
+        assert abs(rho - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_radius_below_induced_norms(self, seed):
         M = np.random.default_rng(seed).standard_normal((15, 15))
-        rho = spectral_radius(M).rho
+        rho = spectral_radius(M)
         assert rho <= inf_norm(M) + 1e-10
         assert rho <= two_norm(M) + 1e-10
 
 
-class TestPowerIteration:
-    def test_dominant_diagonal(self):
-        est = power_iteration_radius(np.diag([0.9, 0.5, 0.1]), tol=1e-12, seed=3)
-        assert est.converged
-        assert abs(est.rho - 0.9) <= 1e-10
-
-    def test_matches_dense_on_symmetric_walk(self):
-        P = make_symmetric_walk(25, 0.2, seed=8).transitions[0].entries
-        dense = spectral_radius(P).rho
-        est = power_iteration_radius(P, tol=1e-12, seed=5)
-        assert est.converged
-        assert abs(est.rho - dense) <= 1e-8
-
-    def test_tied_moduli_flagged(self):
-        # eigenvalues +1/-1: the estimate must not silently claim convergence
-        est = power_iteration_radius(np.array([[0.0, 1.0], [1.0, 0.0]]), tol=1e-10, seed=1)
-        assert (not est.converged) or abs(est.rho - 1.0) <= 1e-8
-
-    def test_zero_matrix(self):
-        est = power_iteration_radius(np.zeros((3, 3)), tol=1e-10, seed=0)
-        assert est.rho == 0.0 and est.converged
+@pytest.mark.parametrize(
+    "call",
+    [
+        spectral_radius,
+        lambda M: gelfand_finals(M, 3),
+        lambda M: gelfand_sequence(M, 3, "two_norm"),
+        lambda M: gelfand_sequence(M, 3, "inf_norm"),
+        lambda M: power_vanishing_check(M, 3, 1e-12),
+    ],
+    ids=["spectral_radius", "gelfand_finals", "gelfand_two_norm", "gelfand_inf_norm", "vanishing"],
+)
+def test_empty_matrix_is_rejected(call):
+    with pytest.raises(NonSquareError, match="matrix must be at least 1x1"):
+        call(np.zeros((0, 0)))
 
 
 class TestBuildBasis:
@@ -231,7 +222,7 @@ class TestCompress:
 class TestGelfand:
     def test_symmetric_equals_rho_every_k(self):
         P = make_symmetric_walk(15, 0.3, seed=6).transitions[0]
-        rho = spectral_radius(P).rho
+        rho = spectral_radius(P)
         seq = gelfand_sequence(P, 60, "two_norm")
         assert np.abs(seq.values - rho).max() <= 1e-10
 
@@ -264,7 +255,7 @@ class TestGelfand:
         # ||A^200|| ~ 1e-200; the scaled accumulation must stay accurate
         A = conjugated_spectrum(np.linspace(0.02, 0.1, 20), seed=11)
         A = (A + A.T) / 2
-        rho = spectral_radius(A).rho
+        rho = spectral_radius(A)
         seq = gelfand_sequence(A, 200, "two_norm")
         assert abs(seq.values[-1] - rho) <= 1e-10
 
@@ -353,8 +344,8 @@ class TestGelfand:
     @pytest.mark.parametrize("seed", range(3))
     def test_converges_to_rho_at_k200(self, seed):
         M = np.random.default_rng(seed).standard_normal((20, 20))
-        M *= 0.6 / spectral_radius(M).rho
-        rho = spectral_radius(M).rho
+        M *= 0.6 / spectral_radius(M)
+        rho = spectral_radius(M)
         for kind in ("two_norm", "inf_norm"):
             seq = gelfand_sequence(M, 200, kind)
             assert abs(seq.values[-1] - rho) <= max(1e-6, 0.05 * rho)
@@ -526,33 +517,6 @@ class TestPowerVanishing:
         assert out.vanishes == expect
 
 
-class TestBoundedPower:
-    def test_identity(self):
-        est = bounded_power_constant(np.eye(4), 0.81, 100)
-        assert est.M == 1.0
-
-    def test_symmetric_contraction(self):
-        P = make_symmetric_walk(10, 0.2, seed=5).transitions[0]
-        est = bounded_power_constant(P, 0.9, 200)
-        assert est.M <= 1.0 + 1e-12
-
-    def test_nonnormal_transient_growth(self):
-        # oracle: direct enumeration with matrix_power + exact 2-norm
-        A = np.array([[0.9, 5.0], [0.0, 0.9]])
-        est = bounded_power_constant(A, 0.9, 200)
-        S = np.sqrt(0.9) * A
-        oracle = max(
-            np.linalg.norm(np.linalg.matrix_power(S, k), 2) for k in range(0, 201)
-        )
-        assert est.M > 1.0
-        assert_allclose(est.M, oracle, rtol=1e-10)
-
-    def test_overflow_reported(self):
-        with pytest.raises(PowerOverflowError) as exc:
-            bounded_power_constant(1e200 * np.eye(2), 0.9, 10)
-        assert exc.value.k is not None
-
-
 class TestCompressionRadius:
     def test_coordinate_compression_has_the_bytes_of_P(self):
         # why the identity sub-case of proposition_suite takes rho(P) as rho(A)
@@ -566,7 +530,7 @@ class TestCompressionRadius:
     def test_identity_ratio_exact(self):
         P = validate_stochastic(random_stochastic(7, 4))
         U = build_basis(P, 7, strategy="coordinate")
-        chk = check_compression_radius(P, U)
+        chk = CompressionRadiusCheck.of(spectral_radius(P), compress(P, U).rho)
         assert chk.ratio == 1.0
         assert chk.rho_A == chk.rho_P
 
@@ -574,13 +538,13 @@ class TestCompressionRadius:
     def test_symmetric_compression_never_expands(self, seed):
         P = make_symmetric_walk(16, 0.25, seed=seed).transitions[0]
         U = build_basis(P, 5, strategy="random_orthonormal", seed=seed + 100)
-        chk = check_compression_radius(P, U)
+        chk = CompressionRadiusCheck.of(spectral_radius(P), compress(P, U).rho)
         assert chk.rho_A <= 1.0 + 1e-10
 
     def test_nonsymmetric_ratio_is_measured(self):
         P = validate_stochastic(random_stochastic(20, 8))
         U = build_basis(P, 5, strategy="random_orthonormal", seed=9)
-        chk = check_compression_radius(P, U)
+        chk = CompressionRadiusCheck.of(spectral_radius(P), compress(P, U).rho)
         assert chk.ratio == pytest.approx(chk.rho_A / chk.rho_P)
         assert np.isfinite(chk.ratio)
 
