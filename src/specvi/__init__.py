@@ -31,15 +31,11 @@ from .mdp import (
     make_symmetric_walk,
     read_matrix,
     read_mdp,
-    read_vector,
-    validate_stochastic,
     write_matrix,
     write_mdp,
 )
 from .spectral import (
     CompressedOperator,
-    CompressionRadiusCheck,
-    GelfandSequence,
     OrthonormalBasis,
     VanishingCheck,
     build_basis,
@@ -56,7 +52,6 @@ from .evaluation import (
     ConvergenceCertificate,
     EvaluationResult,
     IterationTrace,
-    RateEstimate,
     RunStatus,
     approximation_error,
     direct_solve,
@@ -70,7 +65,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     emit_trace_csv,
-    proposition_suite,
     read_trace_csv,
     run_experiment,
 )

@@ -22,8 +22,11 @@ from . import harness
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data

@@ -100,15 +100,6 @@ class EvaluationResult:
         object.__setattr__(self, "v_fixed", _frozen_array(self.v_fixed))
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Tail-geometric-mean residual ratio vs. the predicted alpha*rho."""
-
-    empirical_rate: float
-    predicted_rate: float
-    window: int
-
-
 def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
@@ -270,13 +261,12 @@ def approximation_error(v_exact, v_lifted) -> ApproximationError:
     return ApproximationError(err_inf=err_inf, err_2=err_2, rel_inf=err_inf / denom)
 
 
-def rate_estimate(trace: IterationTrace, window: int, predicted_rate: float) -> RateEstimate:
+def rate_estimate(trace: IterationTrace, window: int) -> float:
     """Empirical asymptotic rate: geometric mean of successive residual
     ratios over the final `window` steps (it telescopes to
     (r[-1]/r[-1-window])^(1/window)).
 
-    The predicted rate is supplied by the caller as alpha*rho of the
-    relevant iteration operator.
+    For a converging run it tends to alpha*rho of the iteration operator.
     """
     if window < 2:
         raise InvalidParameterError("window must be >= 2")
@@ -293,4 +283,4 @@ def rate_estimate(trace: IterationTrace, window: int, predicted_rate: float) -> 
     rate = float((tail[-1] / tail[0]) ** (1.0 / window))
     if not math.isfinite(rate):
         raise InsufficientTraceError("residual ratios are not finite")
-    return RateEstimate(empirical_rate=rate, predicted_rate=float(predicted_rate), window=window)
+    return rate

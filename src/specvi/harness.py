@@ -47,7 +47,6 @@ from .mdp import (
 )
 from .spectral import (
     BASIS_STRATEGIES,
-    CompressionRadiusCheck,
     build_basis,
     compress,
     gelfand_finals,
@@ -184,18 +183,16 @@ class ExperimentConfig:
 class ExperimentReport:
     """Config echo, one record per run, summary statistics, and findings."""
 
-    kind: str
     config: ExperimentConfig
     records: list = field(default_factory=list)
     findings: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     created_at: str = ""
-    schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
+            "schema_version": SCHEMA_VERSION,
+            "kind": self.config.kind,
             "created_at": self.created_at,
             "config": self.config.to_dict(),
             "records": self.records,
@@ -230,15 +227,21 @@ def emit_trace_csv(result: EvaluationResult, path) -> None:
 
 def read_trace_csv(path):
     """Parse an emit_trace_csv file back into (residuals_inf, residuals_2)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["k", "residual_inf", "residual_2"]:
-            raise ConfigError(f"{path}: unexpected trace header {header!r}")
-        inf, two = [], []
-        for row in reader:
-            inf.append(float(row[1]))
-            two.append(float(row[2]))
+    inf, two = [], []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["k", "residual_inf", "residual_2"]:
+                raise ConfigError(f"{path}: unexpected trace header {header!r}")
+            for row in reader:
+                try:
+                    inf.append(float(row[1]))
+                    two.append(float(row[2]))
+                except (IndexError, ValueError) as exc:
+                    raise ConfigError(f"{path}: line {reader.line_num} is not a trace row") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
     return np.array(inf), np.array(two)
 
 
@@ -331,7 +334,6 @@ def _finding(findings, record, kind, **detail):
 def _new_report(config: ExperimentConfig) -> ExperimentReport:
     os.makedirs(config.output_dir, exist_ok=True)
     return ExperimentReport(
-        kind=config.kind,
         config=config,
         created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
@@ -383,12 +385,6 @@ class Instance:
     def compressed(self, K: int):
         return self._cached(("compressed", K), lambda: compress(self.chain.P, self.basis(K)))
 
-    def radius_check(self, K: int) -> CompressionRadiusCheck:
-        """rho(P) against rho(U^T P U). The basis is built first, so a
-        record whose basis fails reports that failure."""
-        self.basis(K)
-        return CompressionRadiusCheck.of(self.rho_P, self.compressed(K).rho)
-
     def exact(self, alpha: float):
         return self._cached(
             ("exact", alpha),
@@ -420,20 +416,17 @@ def _grid_targets(inst):
     ]
 
 
-def _radius_fields(findings, rec, chk: CompressionRadiusCheck) -> None:
-    rec["rho_P"] = chk.rho_P
-    rec["rho_A"] = chk.rho_A
-    rec["ratio"] = chk.ratio
-    if chk.rho_A > 1.0 + RADIUS_EXCESS_TOL:
-        _finding(findings, rec, "compression-radius-exceeds-one", rho_A=chk.rho_A)
-    if abs(chk.rho_A - chk.rho_P) > RADIUS_EQUALITY_TOL:
+def _radius_fields(findings, rec, rho_P: float, rho_A: float) -> None:
+    """rho(P), rho(U^T P U) and their ratio, with the radius findings."""
+    ratio = rho_A / rho_P if rho_P > 0 else math.inf
+    rec["rho_P"] = rho_P
+    rec["rho_A"] = rho_A
+    rec["ratio"] = ratio
+    if rho_A > 1.0 + RADIUS_EXCESS_TOL:
+        _finding(findings, rec, "compression-radius-exceeds-one", rho_A=rho_A)
+    if abs(rho_A - rho_P) > RADIUS_EQUALITY_TOL:
         _finding(
-            findings,
-            rec,
-            "compression-radius-differs",
-            rho_P=chk.rho_P,
-            rho_A=chk.rho_A,
-            ratio=chk.ratio,
+            findings, rec, "compression-radius-differs", rho_P=rho_P, rho_A=rho_A, ratio=ratio
         )
 
 
@@ -493,16 +486,13 @@ def _compare_rates_record(inst, t, rec, findings):
     rho_P = inst.rho_P
     exact = inst.exact(t.alpha)
     proj = _projected_run(inst, t.K, t.alpha)
-    r_exact = rate_estimate(exact.trace, config.rate_window, predicted_rate=t.alpha * rho_P)
-    r_proj = rate_estimate(proj.trace, config.rate_window, predicted_rate=t.alpha * rho_A)
+    r_exact = rate_estimate(exact.trace, config.rate_window)
+    r_proj = rate_estimate(proj.trace, config.rate_window)
     rec["rho_P"] = rho_P
     rec["rho_A"] = rho_A
-    rec["exact_rate"] = {"empirical": r_exact.empirical_rate, "predicted": r_exact.predicted_rate}
-    rec["projected_rate"] = {"empirical": r_proj.empirical_rate, "predicted": r_proj.predicted_rate}
-    rec["rates_match"] = bool(
-        abs(r_exact.empirical_rate - r_proj.empirical_rate)
-        <= 0.02 * max(r_exact.empirical_rate, 1e-30)
-    )
+    rec["exact_rate"] = {"empirical": r_exact, "predicted": t.alpha * rho_P}
+    rec["projected_rate"] = {"empirical": r_proj, "predicted": t.alpha * rho_A}
+    rec["rates_match"] = bool(abs(r_exact - r_proj) <= 0.02 * max(r_exact, 1e-30))
     rec["status"] = "ok"
     if config.store_traces:
         for tag, res in (("proj", proj), ("exact", exact)):
@@ -517,9 +507,11 @@ def _compression_targets(inst):
 
 
 def _check_compression_record(inst, t, rec, findings):
-    chk = inst.radius_check(t.K)
+    # the compression builds the basis first, so a record whose basis
+    # fails reports that failure
+    A = inst.compressed(t.K)
+    _radius_fields(findings, rec, inst.rho_P, A.rho)
     rec["status"] = "ok"
-    _radius_fields(findings, rec, chk)
 
 
 def _gelfand_targets(inst):
@@ -564,18 +556,17 @@ def _proposition_record(inst, t, rec, findings):
     """
     config = inst.config
     if t.suffix == "identity":
-        _radius_fields(findings, rec, CompressionRadiusCheck.of(inst.rho_P, inst.rho_P))
+        _radius_fields(findings, rec, inst.rho_P, inst.rho_P)
         rec["identity_subcase"] = True
         rec["status"] = "ok"
         return
     A = inst.compressed(t.K)
-    chk = inst.radius_check(t.K)
-    _radius_fields(findings, rec, chk)
+    _radius_fields(findings, rec, inst.rho_P, A.rho)
     root = math.sqrt(t.alpha)
     van = power_vanishing_check(root * A.A, config.vanish_k_max, config.vanish_threshold)
     rec["power_vanishes"] = van.vanishes
     rec["vanish_first_k"] = van.first_k
-    if not van.vanishes and root * chk.rho_A < 1.0 - 1e-6:
+    if not van.vanishes and root * A.rho < 1.0 - 1e-6:
         _finding(findings, rec, "power-not-vanishing", final_norm=van.final_norm)
     _projected_fields(inst, t, rec, findings, _projected_run(inst, t.K, t.alpha))
 
@@ -708,10 +699,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     report.write(os.path.join(config.output_dir, "report.json"))
     return report
-
-
-def proposition_suite(config: ExperimentConfig) -> ExperimentReport:
-    """Run the proposition checks; config.kind must be 'proposition_suite'."""
-    if config.kind != "proposition_suite":
-        raise ConfigError("proposition_suite requires kind='proposition_suite'")
-    return run_experiment(config)

@@ -29,6 +29,10 @@ from .errors import (
 
 DEFAULT_TOL = 1e-12
 
+#: Most bytes of transition matrices (8 * m * n^2) an MDP may take: it
+#: allows m = 33 actions at n = 2000, the documented scope.
+MAX_TRANSITION_BYTES = 2**30
+
 #: Rounds of derangement mixing in make_symmetric_walk.
 _WALK_ROUNDS = 4
 
@@ -44,14 +48,13 @@ def _frozen_array(values, dtype=np.float64):
 class StochasticMatrix:
     """Dense n x n row-stochastic matrix (infinity norm exactly 1).
 
-    Construction validates: square, every entry >= -tol, every row sum
-    within tol of 1. Entries are never renormalized; a matrix that fails
-    the check is rejected so generator bugs cannot hide behind silent
-    fixes.
+    Construction validates: square, every entry >= -DEFAULT_TOL, every row
+    sum within DEFAULT_TOL of 1. Entries are never renormalized; a matrix
+    that fails the check is rejected so generator bugs cannot hide behind
+    silent fixes.
     """
 
     entries: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         M = np.asarray(self.entries, dtype=np.float64)
@@ -59,31 +62,24 @@ class StochasticMatrix:
             raise NonSquareError(f"expected a square matrix, got shape {M.shape}")
         if M.shape[0] < 1:
             raise NonSquareError("matrix must be at least 1x1")
-        if self.tol <= 0:
-            raise InvalidParameterError("tol must be positive")
         if not np.all(np.isfinite(M)):
             raise InvalidParameterError("matrix entries must be finite")
         low = M.min()
-        if low < -self.tol:
+        if low < -DEFAULT_TOL:
             i, j = np.unravel_index(np.argmin(M), M.shape)
             raise NegativeEntryError(f"entry ({i},{j}) = {low} is below -tol")
         sums = M.sum(axis=1)
         dev = np.abs(sums - 1.0)
-        if dev.max() > self.tol:
+        if dev.max() > DEFAULT_TOL:
             r = int(np.argmax(dev))
             raise RowSumViolationError(
-                f"row {r} sums to {sums[r]!r}, off by more than tol={self.tol}"
+                f"row {r} sums to {sums[r]!r}, off by more than tol={DEFAULT_TOL}"
             )
         object.__setattr__(self, "entries", _frozen_array(M))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-def validate_stochastic(M, tol: float = DEFAULT_TOL) -> StochasticMatrix:
-    """Validate a raw array as a row-stochastic matrix (no renormalization)."""
-    return StochasticMatrix(np.asarray(M, dtype=np.float64), tol)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ class Mdp:
         if not self.transitions:
             raise InvalidDimensionError("need at least one action")
         trans = tuple(
-            t if isinstance(t, StochasticMatrix) else validate_stochastic(t)
+            t if isinstance(t, StochasticMatrix) else StochasticMatrix(t)
             for t in self.transitions
         )
         n = trans[0].n
@@ -169,6 +165,17 @@ class InducedChain:
         return self.P.n
 
 
+def _over_budget(n: int, m: int) -> str | None:
+    """Why n states and m actions are refused, or None if they fit MAX_TRANSITION_BYTES."""
+    size = 8 * int(m) * int(n) ** 2
+    if size <= MAX_TRANSITION_BYTES:
+        return None
+    return (
+        f"n={n}, m={m} needs {size} bytes of transition matrices, more than the "
+        f"{MAX_TRANSITION_BYTES} allowed; the documented scope is n <= 2000"
+    )
+
+
 def as_discount(alpha) -> float:
     """alpha as a float, validated to lie in [0, 1) (strict)."""
     a = float(alpha)
@@ -198,7 +205,7 @@ def induce_chain(mdp: Mdp, policy: Policy) -> InducedChain:
         a = acts[s]
         P[s, :] = mdp.transitions[a].entries[s, :]
         c[s] = mdp.costs[s, a]
-    return InducedChain(validate_stochastic(P), c)
+    return InducedChain(StochasticMatrix(P), c)
 
 
 def make_random_mdp(n: int, m: int, seed: int) -> Mdp:
@@ -209,12 +216,14 @@ def make_random_mdp(n: int, m: int, seed: int) -> Mdp:
     """
     if n < 1 or m < 1:
         raise InvalidDimensionError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if refusal := _over_budget(n, m):
+        raise InvalidDimensionError(refusal)
     rng = np.random.default_rng(seed)
     transitions = []
     for _ in range(m):
         T = rng.random((n, n))
         T /= T.sum(axis=1, keepdims=True)
-        transitions.append(validate_stochastic(T))
+        transitions.append(StochasticMatrix(T))
     costs = rng.random((n, m))
     return Mdp(
         tuple(transitions),
@@ -246,6 +255,8 @@ def make_symmetric_walk(n: int, self_loop: float, seed: int = 0) -> Mdp:
         raise InvalidDimensionError(f"need n >= 2, got n={n}")
     if not (0.0 <= self_loop < 1.0):
         raise InvalidParameterError(f"self_loop must be in [0, 1), got {self_loop}")
+    if refusal := _over_budget(n, 1):
+        raise InvalidDimensionError(refusal)
     rng = np.random.default_rng(seed)
     mix = np.zeros((n, n))
     perms = [_random_derangement(n, rng) for _ in range(_WALK_ROUNDS)]
@@ -265,7 +276,7 @@ def make_symmetric_walk(n: int, self_loop: float, seed: int = 0) -> Mdp:
     P[np.arange(n), np.arange(n)] += self_loop
     costs = rng.random((n, 1))
     return Mdp(
-        (validate_stochastic(P),),
+        (StochasticMatrix(P),),
         costs,
         seed=seed,
         provenance=f"make_symmetric_walk(n={n}, self_loop={self_loop}, seed={seed})",
@@ -300,8 +311,11 @@ def write_matrix(matrix, path) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix written by write_matrix. Returns a raw (rows, cols) array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
     lines = [ln.strip() for ln in raw_lines]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -329,14 +343,6 @@ def read_matrix(path) -> np.ndarray:
     return out
 
 
-def read_vector(path) -> np.ndarray:
-    """Read an n x 1 matrix file as a flat vector."""
-    M = read_matrix(path)
-    if M.ndim != 2 or M.shape[1] != 1:
-        raise ParseError(f"{path}: expected an n x 1 vector file, got shape {M.shape}")
-    return M[:, 0]
-
-
 # --- MDP container format ----------------------------------------------------
 #
 # A directory with meta.json ({"n", "m", "seed", "provenance"}), one
@@ -359,18 +365,23 @@ def read_mdp(directory) -> Mdp:
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{meta_path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{meta_path}: invalid JSON") from exc
-    try:
-        n, m = int(meta["n"]), int(meta["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{meta_path}: meta.json must carry integer 'n' and 'm'") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"{meta_path}: meta.json must hold a JSON object")
+    n, m = meta.get("n"), meta.get("m")
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (n, m)):
+        raise ParseError(f"{meta_path}: meta.json must carry integers 'n' and 'm' >= 1")
+    if refusal := _over_budget(n, m):
+        raise ParseError(f"{meta_path}: {refusal}")
     transitions = []
     for a in range(m):
         T = read_matrix(os.path.join(directory, f"T{a}.mat"))
         if T.shape != (n, n):
             raise ParseError(f"T{a}.mat: expected shape ({n}, {n}), got {T.shape}")
-        transitions.append(validate_stochastic(T))
+        transitions.append(StochasticMatrix(T))
     costs = read_matrix(os.path.join(directory, "costs.mat"))
     if costs.shape != (n, m):
         raise ParseError(f"costs.mat: expected shape ({n}, {m}), got {costs.shape}")

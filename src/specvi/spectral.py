@@ -125,10 +125,9 @@ def inf_norm(M) -> float:
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """n x K matrix with orthonormal columns, tagged by construction strategy."""
+    """n x K matrix with orthonormal columns."""
 
     U: np.ndarray
-    strategy: str = "custom"
 
     def __post_init__(self):
         U = _frozen_array(self.U)
@@ -184,40 +183,12 @@ class CompressedOperator:
 
 
 @dataclass(frozen=True)
-class GelfandSequence:
-    """values[k-1] = ||A^k||^(1/k), k = 1..k_max, for one norm kind."""
-
-    norm_kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-
-    @property
-    def k_max(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class VanishingCheck:
     """Outcome of scanning whether A^k falls below a max-norm threshold."""
 
     vanishes: bool
     first_k: int | None
     final_norm: float
-
-
-@dataclass(frozen=True)
-class CompressionRadiusCheck:
-    """Measured rho(P), rho(U^T P U) and their ratio for one (P, U) pair."""
-
-    rho_P: float
-    rho_A: float
-    ratio: float
-
-    @classmethod
-    def of(cls, rho_P: float, rho_A: float) -> "CompressionRadiusCheck":
-        return cls(rho_P=rho_P, rho_A=rho_A, ratio=rho_A / rho_P if rho_P > 0 else math.inf)
 
 
 def spectral_radius(M) -> float:
@@ -417,7 +388,7 @@ def build_basis(
         # OrthonormalBasis keeps a copy; the memo's Z stays the working
         # array of later passes
         U = schur.Z[:, :K]
-    return OrthonormalBasis(U, strategy)
+    return OrthonormalBasis(U)
 
 
 def compress(P, U: OrthonormalBasis) -> CompressedOperator:
@@ -514,8 +485,9 @@ def _gelfand_value(nrm: float, log_scale: float, k: int) -> float:
     return math.exp((log_scale + math.log(nrm)) / k)
 
 
-def gelfand_sequence(A, k_max: int, norm_kind: str = "two_norm") -> GelfandSequence:
-    """Norm sequence ||A^k||^(1/k) for k = 1..k_max by repeated multiplication.
+def gelfand_sequence(A, k_max: int, norm_kind: str = "two_norm") -> np.ndarray:
+    """Norm sequence ||A^k||^(1/k) for k = 1..k_max by repeated multiplication,
+    as a read-only array whose entry k - 1 is the k-th value.
 
     The running power is periodically rescaled (with the log of the scale
     carried separately) so values stay accurate even when ||A^k|| leaves
@@ -539,13 +511,13 @@ def gelfand_sequence(A, k_max: int, norm_kind: str = "two_norm") -> GelfandSeque
             if nrm == 0.0:
                 break  # nilpotent from here on; later powers stay zero
             values[k - 1] = _gelfand_value(nrm, log_scale, k)
-    return GelfandSequence(norm_kind, values)
+    return _frozen_array(values)
 
 
 def gelfand_finals(A, k_max: int) -> tuple[float, float]:
     """||A^k_max||^(1/k_max) in the two-norm and the inf-norm, from one power chain.
 
-    Bit for bit the last values of gelfand_sequence(A, k_max, kind) for
+    Bit for bit the last entries of gelfand_sequence(A, k_max, kind) for
     both kinds, with the same PowerOverflowError where either raises. Only
     A itself can have a non-finite or falsely zero norm (its Gram matrix
     can overflow or underflow): every later power is exactly zero or has

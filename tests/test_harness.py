@@ -14,11 +14,10 @@ from specvi.harness import (
     ExperimentConfig,
     ExperimentReport,
     emit_trace_csv,
-    proposition_suite,
     read_trace_csv,
     run_experiment,
 )
-from specvi.mdp import InducedChain, make_random_mdp, read_mdp, validate_stochastic, write_mdp
+from specvi.mdp import InducedChain, StochasticMatrix, make_random_mdp, read_mdp, write_mdp
 
 
 def config(tmp_path, **overrides):
@@ -385,7 +384,7 @@ class TestPropositionSuite:
             trials=5,
             vanish_k_max=10000,
         )
-        report = proposition_suite(cfg)
+        report = run_experiment(cfg)
         assert report.summary["diverged"] == 0
         kinds = {f["kind"] for f in report.findings}
         assert "diverged" not in kinds
@@ -398,7 +397,7 @@ class TestPropositionSuite:
 
     def test_identity_subcase_ratio_exactly_one(self, tmp_path):
         cfg = config(tmp_path, kind="proposition_suite", trials=4)
-        report = proposition_suite(cfg)
+        report = run_experiment(cfg)
         ids = [r for r in report.records if r.get("identity_subcase")]
         assert len(ids) == 4
         assert all(r["ratio"] == 1.0 for r in ids)
@@ -422,10 +421,6 @@ class TestPropositionSuite:
         # ratios for the nonsymmetric class are measured and enumerated
         dist = report.summary["ratio_distribution"]
         assert dist["count"] == 6
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            proposition_suite(config(tmp_path, kind="evaluate"))
 
 
 # ratios as proposition_suite sees them: nonnegative, often repeated, and
@@ -461,11 +456,14 @@ class TestReportWrite:
             ExperimentReport, "to_json_dict", lambda self: {"a": "x" * 100000, "b": object()}
         )
         with pytest.raises(TypeError):
-            ExperimentReport(kind="evaluate", config=cfg).write(str(path))
+            ExperimentReport(config=cfg).write(str(path))
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir() if "report" in p.name) == [
             "report.json"
         ]
+
+
+HEADER = b"k,residual_inf,residual_2\r\n"
 
 
 class TestTraceCsv:
@@ -482,13 +480,24 @@ class TestTraceCsv:
         assert lines[0] == "k,residual_inf,residual_2"
 
     def test_parse_back_identity(self, tmp_path):
-        chain = InducedChain(validate_stochastic(np.eye(3)), np.ones(3))
+        chain = InducedChain(StochasticMatrix(np.eye(3)), np.ones(3))
         res = exact_vi(chain, 0.9, tol=1e-8)
         path = tmp_path / "t.csv"
         emit_trace_csv(res, path)
         inf, two = read_trace_csv(path)
         assert_array_equal(inf, res.trace.residuals_inf)
         assert_array_equal(two, res.trace.residuals_2)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", HEADER + b"1,0.5\r\n", HEADER + b"1,abc,0.5\r\n", HEADER + b"1,\xff,0.5\r\n"],
+        ids=["empty", "short-row", "non-numeric", "non-utf8"],
+    )
+    def test_bad_trace_is_config_error(self, tmp_path, content):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="t.csv"):
+            read_trace_csv(path)
 
     def test_empty_trace_header_only(self, tmp_path):
         trace = IterationTrace(np.zeros(0), np.zeros(0), 0, RunStatus.MAX_ITER)
@@ -563,6 +572,22 @@ class TestCli:
     def test_missing_config_is_exit_one(self, tmp_path):
         assert cli_main(["evaluate", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_non_utf8_config_is_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff" + json.dumps({"output_dir": str(tmp_path / "out")}).encode())
+        assert cli_main(["evaluate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config is not UTF-8 text\n"
+
+    def test_non_utf8_matrix_file_is_error_line(self, tmp_path, capsys):
+        mdp_dir = tmp_path / "mdp"
+        write_mdp(make_random_mdp(5, 1, seed=0), str(mdp_dir))
+        (mdp_dir / "T0.mat").write_bytes(b"\xff" + (mdp_dir / "T0.mat").read_bytes())
+        cfg = tmp_path / "c.json"
+        body = {"mdp_source": {"path": str(mdp_dir)}, "output_dir": str(tmp_path / "out")}
+        cfg.write_text(json.dumps(body))
+        assert cli_main(["evaluate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {mdp_dir / 'T0.mat'}: not UTF-8 text\n"
+
     def test_invalid_config_is_exit_one(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"mdp_source": {"generator": "random", "n": 3, "m": 1}}))
@@ -580,6 +605,7 @@ class TestCli:
             {"mdp_source": {"generator": "symmetric_walk", "n": "5"}},
             {"mdp_source": {"generator": "symmetric_walk", "n": 5, "self_loop": "0.1"}},
             {"mdp_source": {"path": 5}},
+            {"mdp_source": {"generator": "random", "n": 10**9, "m": 1}},
         ],
     )
     def test_bad_config_value_is_error_line(self, tmp_path, capsys, patch):

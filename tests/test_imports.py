@@ -3,9 +3,11 @@
 scipy's LAPACK extension is loaded on the first Schur build and nowhere
 else, without the scipy.linalg package, and with the shortest idle timeout
 for the thread pool of scipy's OpenBLAS; the lazily loaded numpy submodules
-that a batch uses are imported with specvi, so no batch pays for them.
-The last test reads the source instead: every module-level import of a
-specvi module is used, or marked as kept with "# noqa: F401".
+that a batch uses are imported with specvi, so no batch pays for them;
+perfbench's tracing still finds every name it wraps. The last two tests
+read the source instead: every module-level import of a specvi module is
+used, or marked as kept with "# noqa: F401", and the package's public
+names are pinned, so a change to them shows in the diff.
 """
 
 import ast
@@ -22,6 +24,8 @@ import specvi
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(specvi.__file__)))
 
+
+PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
 
 TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 
@@ -164,6 +168,39 @@ def test_batches_import_no_numpy_module(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_perfbench_tracing_installs_and_traced_batches_run(tmp_path):
+    configs = {
+        "evaluate": dict(
+            mdp_source={"generator": "random", "n": 12, "m": 2},
+            K_list=[3],
+            alpha_list=[0.9],
+            basis_strategy="random_orthonormal",
+        ),
+        "prop-suite": dict(
+            mdp_source={"generator": "symmetric_walk", "n": 12, "self_loop": 0.2},
+            K_list=[4],
+            alpha_list=[0.9],
+        ),
+    }
+    commands = [
+        [command, "--config", write_config(tmp_path, command, **fields)]
+        for command, fields in configs.items()
+    ]
+    out = run_fresh(
+        f"""
+        import sys
+        sys.path.insert(0, {PERFBENCH!r})
+        import tracing
+        import specvi.cli
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        print([specvi.cli.main(argv) for argv in {commands!r}])
+        print(tracer.totals["harness"]["calls"])
+        """
+    )
+    assert out.splitlines()[-2:] == ["[0, 0]", "2"]
+
+
 # Records the OpenBLAS timeout each scipy extension module is created
 # (dlopened) under, then builds a schur_dominant basis at n=300, where
 # threaded BLAS runs, and measures the CPU time of a 0.3 s sleep after it.
@@ -292,3 +329,73 @@ def test_every_module_level_import_is_used():
     }
     assert found
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_public_names_are_pinned():
+    # sorted, as dir() lists them, with the submodules the imports bind
+    assert specvi.__all__ == [
+        "ApproximationError",
+        "CompressedOperator",
+        "ConfigError",
+        "ConvergenceCertificate",
+        "DimensionMismatchError",
+        "EigenFailureError",
+        "EvaluationResult",
+        "ExperimentConfig",
+        "ExperimentReport",
+        "InducedChain",
+        "InsufficientTraceError",
+        "InvalidActionIndexError",
+        "InvalidDimensionError",
+        "InvalidKError",
+        "InvalidParameterError",
+        "IterationTrace",
+        "MatrixTooLargeError",
+        "Mdp",
+        "NegativeEntryError",
+        "NonSquareError",
+        "OrthonormalBasis",
+        "ParseError",
+        "Policy",
+        "PowerOverflowError",
+        "RowSumViolationError",
+        "RunStatus",
+        "SingularSystemError",
+        "SpecviError",
+        "SplitConjugatePairError",
+        "StochasticMatrix",
+        "VanishingCheck",
+        "ZeroResidualError",
+        "approximation_error",
+        "as_discount",
+        "build_basis",
+        "compress",
+        "direct_solve",
+        "emit_trace_csv",
+        "errors",
+        "evaluation",
+        "exact_vi",
+        "gelfand_finals",
+        "gelfand_sequence",
+        "harness",
+        "induce_chain",
+        "inf_norm",
+        "kernels",
+        "make_random_mdp",
+        "make_symmetric_walk",
+        "mdp",
+        "power_vanishing_check",
+        "projected_vi",
+        "rate_estimate",
+        "read_matrix",
+        "read_mdp",
+        "read_trace_csv",
+        "reconstruct",
+        "run_experiment",
+        "series_eval",
+        "spectral",
+        "spectral_radius",
+        "two_norm",
+        "write_matrix",
+        "write_mdp",
+    ]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +22,14 @@ from specvi.mdp import (
     InducedChain,
     Mdp,
     Policy,
+    StochasticMatrix,
+    _over_budget,
     _random_derangement,
     induce_chain,
     make_random_mdp,
     make_symmetric_walk,
     read_matrix,
     read_mdp,
-    read_vector,
-    validate_stochastic,
     write_matrix,
     write_mdp,
 )
@@ -35,40 +37,36 @@ from specvi.mdp import (
 
 class TestValidateStochastic:
     def test_identity_is_valid(self):
-        sm = validate_stochastic(np.eye(3), tol=1e-12)
+        sm = StochasticMatrix(np.eye(3))
         assert sm.n == 3
         assert_array_equal(sm.entries, np.eye(3))
 
     def test_explicit_rows_valid(self):
-        sm = validate_stochastic([[0.5, 0.5], [0.25, 0.75]], tol=1e-12)
+        sm = StochasticMatrix([[0.5, 0.5], [0.25, 0.75]])
         assert sm.n == 2
 
     def test_row_sum_violation(self):
         with pytest.raises(RowSumViolationError):
-            validate_stochastic([[0.5, 0.6], [0.25, 0.75]], tol=1e-12)
+            StochasticMatrix([[0.5, 0.6], [0.25, 0.75]])
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntryError):
-            validate_stochastic([[1.1, -0.1], [0.5, 0.5]], tol=1e-12)
+            StochasticMatrix([[1.1, -0.1], [0.5, 0.5]])
 
     def test_non_square(self):
         with pytest.raises(NonSquareError):
-            validate_stochastic(np.ones((2, 3)) / 3.0)
+            StochasticMatrix(np.ones((2, 3)) / 3.0)
 
     def test_no_renormalization(self):
         # entries come back exactly as given, never silently fixed up
         M = np.array([[0.3, 0.7], [0.9, 0.1]])
-        sm = validate_stochastic(M)
+        sm = StochasticMatrix(M)
         assert_array_equal(sm.entries, M)
 
     def test_entries_read_only(self):
-        sm = validate_stochastic(np.eye(2))
+        sm = StochasticMatrix(np.eye(2))
         with pytest.raises(ValueError):
             sm.entries[0, 0] = 0.5
-
-    def test_bad_tol(self):
-        with pytest.raises(InvalidParameterError):
-            validate_stochastic(np.eye(2), tol=0.0)
 
 
 class TestInduceChain:
@@ -81,8 +79,8 @@ class TestInduceChain:
     def test_two_state_two_action(self):
         mdp = Mdp(
             transitions=(
-                validate_stochastic([[1.0, 0.0], [0.0, 1.0]]),
-                validate_stochastic([[0.0, 1.0], [1.0, 0.0]]),
+                StochasticMatrix([[1.0, 0.0], [0.0, 1.0]]),
+                StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]),
             ),
             costs=[[1.0, 2.0], [3.0, 4.0]],
         )
@@ -142,6 +140,23 @@ class TestGenerators:
             make_random_mdp(0, 2, seed=0)
         with pytest.raises(InvalidDimensionError):
             make_random_mdp(3, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_random_mdp(10**9, 1, seed=0),
+            lambda: make_random_mdp(8, 10**9, seed=0),
+            lambda: make_symmetric_walk(30000, 0.1, seed=0),
+        ],
+        ids=["n=1e9", "m=1e9", "walk-n=30000"],
+    )
+    def test_past_the_byte_budget_is_refused(self, make):
+        with pytest.raises(InvalidDimensionError, match="documented scope is n <= 2000"):
+            make()
+
+    def test_byte_budget_holds_33_actions_at_n_2000(self):
+        assert _over_budget(2000, 33) is None
+        assert _over_budget(2000, 34) is not None
 
     def test_symmetric_walk_two_states(self):
         walk = make_symmetric_walk(2, 0.0, seed=9)
@@ -220,8 +235,9 @@ class TestMatrixIo:
         v = np.array([1.0, 2.5, -3.125])
         path = tmp_path / "v.mat"
         write_matrix(v, path)
-        assert_array_equal(read_vector(path), v)
-        assert read_matrix(path).shape == (3, 1)
+        back = read_matrix(path)
+        assert back.shape == (3, 1)
+        assert_array_equal(back[:, 0], v)
 
     @pytest.mark.parametrize(
         "content",
@@ -238,6 +254,12 @@ class TestMatrixIo:
         path = tmp_path / "bad.mat"
         path.write_text(content)
         with pytest.raises(ParseError):
+            read_matrix(path)
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(b"\xff1 1\n1.0\n")
+        with pytest.raises(ParseError, match="bad.mat: not UTF-8 text"):
             read_matrix(path)
 
     def test_missing_file_is_io_error(self, tmp_path):
@@ -280,6 +302,26 @@ class TestMdpIo:
         with pytest.raises(ParseError):
             read_mdp(d)
 
+    @pytest.mark.parametrize("name", ["meta.json", "T0.mat"])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, name):
+        d = tmp_path / "mdp"
+        write_mdp(make_random_mdp(3, 1, seed=0), d)
+        (d / name).write_bytes(b"\xff" + (d / name).read_bytes())
+        with pytest.raises(ParseError, match=f"{name}: not UTF-8 text"):
+            read_mdp(d)
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(5.7, 1), (True, 1), ("3", 1), (3, 0), (None, 1), (10**9, 1), (8, 10**9), (30000, 1)],
+    )
+    def test_bad_meta_sizes_are_refused_before_any_matrix_is_read(self, tmp_path, n, m):
+        d = tmp_path / "mdp"
+        write_mdp(make_random_mdp(3, 1, seed=0), d)
+        (d / "T0.mat").unlink()
+        (d / "meta.json").write_text(json.dumps({"n": n, "m": m}))
+        with pytest.raises(ParseError, match="meta.json"):
+            read_mdp(d)
+
 
 class TestTypes:
     def test_discount_factor_range(self):
@@ -293,7 +335,7 @@ class TestTypes:
             as_discount(-0.01)
 
     def test_induced_chain_checks(self):
-        P = validate_stochastic(np.eye(2))
+        P = StochasticMatrix(np.eye(2))
         with pytest.raises(DimensionMismatchError):
             InducedChain(P, np.zeros(3))
         with pytest.raises(InvalidParameterError):
@@ -301,7 +343,7 @@ class TestTypes:
 
     def test_mdp_cost_shape(self):
         with pytest.raises(DimensionMismatchError):
-            Mdp((validate_stochastic(np.eye(2)),), costs=np.zeros((3, 1)))
+            Mdp((StochasticMatrix(np.eye(2)),), costs=np.zeros((3, 1)))
 
     def test_policy_negative(self):
         with pytest.raises(InvalidActionIndexError):

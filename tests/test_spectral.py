@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from specvi import spectral
+from specvi import harness, spectral
 from specvi.errors import (
     DimensionMismatchError,
     EigenFailureError,
@@ -22,15 +22,14 @@ from specvi.errors import (
 )
 from specvi.mdp import (
     Policy,
+    StochasticMatrix,
     induce_chain,
     make_random_mdp,
     make_symmetric_walk,
-    validate_stochastic,
 )
 from specvi.spectral import (
     BASIS_STRATEGIES,
     CompressedOperator,
-    CompressionRadiusCheck,
     OrthonormalBasis,
     build_basis,
     compress,
@@ -110,7 +109,7 @@ def test_empty_matrix_is_rejected(call):
 
 class TestBuildBasis:
     def test_coordinate_full_is_identity(self):
-        P = validate_stochastic(random_stochastic(6, 0))
+        P = StochasticMatrix(random_stochastic(6, 0))
         U = build_basis(P, 6, strategy="coordinate")
         assert_array_equal(U.U, np.eye(6))
 
@@ -120,7 +119,6 @@ class TestBuildBasis:
         P = make_symmetric_walk(7, 0.2, seed=2).transitions[0]
         U = build_basis(P, K, strategy=strategy, seed=13)
         assert np.abs(U.U.T @ U.U - np.eye(K)).max() <= 1e-12
-        assert U.strategy == strategy
 
     def test_schur_spans_dominant_eigenspace(self):
         # oracle: dense symmetric eigendecomposition + principal angles;
@@ -161,7 +159,7 @@ class TestBuildBasis:
         assert_allclose(np.abs(A[0, 0]), eigs[0], atol=1e-10)
 
     def test_invalid_k(self):
-        P = validate_stochastic(np.eye(3))
+        P = StochasticMatrix(np.eye(3))
         with pytest.raises(InvalidKError):
             build_basis(P, 0)
         with pytest.raises(InvalidKError):
@@ -224,7 +222,7 @@ class TestGelfand:
         P = make_symmetric_walk(15, 0.3, seed=6).transitions[0]
         rho = spectral_radius(P)
         seq = gelfand_sequence(P, 60, "two_norm")
-        assert np.abs(seq.values - rho).max() <= 1e-10
+        assert np.abs(seq - rho).max() <= 1e-10
 
     def test_jordan_block_two_norm(self):
         # oracle: direct powers via binary exponentiation + exact 2-norm
@@ -232,15 +230,15 @@ class TestGelfand:
         seq = gelfand_sequence(J, 200, "two_norm")
         for k in (1, 3, 10, 50):
             direct = np.linalg.norm(np.linalg.matrix_power(J, k), 2) ** (1.0 / k)
-            assert_allclose(seq.values[k - 1], direct, rtol=1e-10)
-        assert seq.values[0] > 0.5
-        assert np.all(np.diff(seq.values) < 0)
-        assert seq.values[199] - 0.5 < 0.05
+            assert_allclose(seq[k - 1], direct, rtol=1e-10)
+        assert seq[0] > 0.5
+        assert np.all(np.diff(seq) < 0)
+        assert seq[199] - 0.5 < 0.05
 
     def test_nilpotent_zero_tail(self):
         seq = gelfand_sequence(np.array([[0.0, 1.0], [0.0, 0.0]]), 10, "two_norm")
-        assert seq.values[0] > 0
-        assert np.all(seq.values[1:] == 0.0)
+        assert seq[0] > 0
+        assert np.all(seq[1:] == 0.0)
 
     def test_inf_norm_matches_row_sum_oracle(self):
         M = random_stochastic(8, 3) * 0.7
@@ -248,7 +246,7 @@ class TestGelfand:
         B = M.copy()
         for k in range(1, 31):
             oracle = np.abs(B).sum(axis=1).max() ** (1.0 / k)
-            assert_allclose(seq.values[k - 1], oracle, rtol=1e-12)
+            assert_allclose(seq[k - 1], oracle, rtol=1e-12)
             B = B @ M
 
     def test_small_rho_long_powers_no_underflow(self):
@@ -257,12 +255,12 @@ class TestGelfand:
         A = (A + A.T) / 2
         rho = spectral_radius(A)
         seq = gelfand_sequence(A, 200, "two_norm")
-        assert abs(seq.values[-1] - rho) <= 1e-10
+        assert abs(seq[-1] - rho) <= 1e-10
 
     def test_growing_matrix_values_converge(self):
         # rho = 2: raw powers would overflow near k ~ 1000; values must not
         seq = gelfand_sequence(2.0 * np.eye(3), 1500, "two_norm")
-        assert_allclose(seq.values, 2.0, rtol=1e-12)
+        assert_allclose(seq, 2.0, rtol=1e-12)
 
     def test_nonfinite_input_overflows(self):
         with pytest.raises(PowerOverflowError):
@@ -293,7 +291,7 @@ class TestGelfand:
     def assert_finals_match_sequences(self, M, k_max):
         # the two-norm sequence first: where both raise, its error is reported
         want = self.outcome(
-            lambda: [gelfand_sequence(M, k_max, kind).values[-1] for kind in ("two_norm", "inf_norm")]
+            lambda: [gelfand_sequence(M, k_max, kind)[-1] for kind in ("two_norm", "inf_norm")]
         )
         assert self.outcome(lambda: gelfand_finals(M, k_max)) == want
 
@@ -348,7 +346,7 @@ class TestGelfand:
         rho = spectral_radius(M)
         for kind in ("two_norm", "inf_norm"):
             seq = gelfand_sequence(M, 200, kind)
-            assert abs(seq.values[-1] - rho) <= max(1e-6, 0.05 * rho)
+            assert abs(seq[-1] - rho) <= max(1e-6, 0.05 * rho)
 
 
 def reference_scaled_powers(M, k_max):
@@ -463,7 +461,7 @@ class TestScanFreeChain:
     def test_sequences_and_finals_match_reference(self, name):
         M, k_max, _, _ = HORIZON_CASES[name]
         for kind in ("two_norm", "inf_norm"):
-            got = gelfand_sequence(M, k_max, kind).values
+            got = gelfand_sequence(M, k_max, kind)
             want = reference_sequence(M, k_max, kind)
             assert [v.hex() for v in got] == [v.hex() for v in want]
         TestGelfand().assert_finals_match_sequences(M, k_max)
@@ -527,26 +525,32 @@ class TestCompressionRadius:
             A = compress(P, build_basis(P, mdp.n, strategy="coordinate")).A
             assert A.shape == P.shape and A.tobytes() == P.tobytes()
 
+    @staticmethod
+    def radius_record(P, U):
+        """The radius fields of a record for P and U, as every kind computes them."""
+        rec = {"id": "r"}
+        harness._radius_fields([], rec, spectral_radius(P), compress(P, U).rho)
+        return rec
+
     def test_identity_ratio_exact(self):
-        P = validate_stochastic(random_stochastic(7, 4))
+        P = StochasticMatrix(random_stochastic(7, 4))
         U = build_basis(P, 7, strategy="coordinate")
-        chk = CompressionRadiusCheck.of(spectral_radius(P), compress(P, U).rho)
-        assert chk.ratio == 1.0
-        assert chk.rho_A == chk.rho_P
+        rec = self.radius_record(P, U)
+        assert rec["ratio"] == 1.0
+        assert rec["rho_A"] == rec["rho_P"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetric_compression_never_expands(self, seed):
         P = make_symmetric_walk(16, 0.25, seed=seed).transitions[0]
         U = build_basis(P, 5, strategy="random_orthonormal", seed=seed + 100)
-        chk = CompressionRadiusCheck.of(spectral_radius(P), compress(P, U).rho)
-        assert chk.rho_A <= 1.0 + 1e-10
+        assert self.radius_record(P, U)["rho_A"] <= 1.0 + 1e-10
 
     def test_nonsymmetric_ratio_is_measured(self):
-        P = validate_stochastic(random_stochastic(20, 8))
+        P = StochasticMatrix(random_stochastic(20, 8))
         U = build_basis(P, 5, strategy="random_orthonormal", seed=9)
-        chk = CompressionRadiusCheck.of(spectral_radius(P), compress(P, U).rho)
-        assert chk.ratio == pytest.approx(chk.rho_A / chk.rho_P)
-        assert np.isfinite(chk.ratio)
+        rec = self.radius_record(P, U)
+        assert rec["ratio"] == pytest.approx(rec["rho_A"] / rec["rho_P"])
+        assert np.isfinite(rec["ratio"])
 
 
 def _schur_block_starts(T, tol):
