@@ -49,7 +49,6 @@ from .spectral import (
 )
 from .evaluation import (
     ApproximationError,
-    ConvergenceCertificate,
     EvaluationResult,
     IterationTrace,
     RunStatus,

@@ -12,7 +12,6 @@ exact iterates bit for bit.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .errors import (
     SingularSystemError,
     ZeroResidualError,
 )
+from .kernels import RunStatus
 from .mdp import InducedChain, _frozen_array, as_discount
 from .spectral import CompressedOperator, OrthonormalBasis, compress
 from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -36,25 +36,6 @@ DEFAULT_MAX_ITER = 100000
 
 #: Full iterates are kept only when the run finishes within this many steps.
 ITERATE_STORAGE_CAP = 1000
-
-#: Certificates (rho of the iteration matrix) are computed up to this size.
-#: It stays below spectral.DENSE_EIG_LIMIT: a certificate is an extra dense
-#: eigvals on a projected run that needs none to iterate, and raising the
-#: limit would add certificates to the reports of runs with 500 < K.
-CERTIFICATE_SIZE_LIMIT = 500
-
-
-class RunStatus(str, enum.Enum):
-    CONVERGED = "converged"
-    MAX_ITER = "max_iter"
-    DIVERGED = "diverged"
-
-
-_STATUS_FROM_CODE = {
-    kernels.STATUS_CONVERGED: RunStatus.CONVERGED,
-    kernels.STATUS_MAX_ITER: RunStatus.MAX_ITER,
-    kernels.STATUS_DIVERGED: RunStatus.DIVERGED,
-}
 
 
 @dataclass(frozen=True)
@@ -75,26 +56,11 @@ class IterationTrace:
 
 
 @dataclass(frozen=True)
-class ConvergenceCertificate:
-    """rho(A) and alpha*rho(A); certified means the product is < 1."""
-
-    rho_A: float
-    alpha_rho: float
-    certified: bool
-
-    @classmethod
-    def of(cls, alpha: float, rho_A: float) -> "ConvergenceCertificate":
-        """The certificate of alpha*A, given rho(A)."""
-        return cls(rho_A=rho_A, alpha_rho=alpha * rho_A, certified=alpha * rho_A < 1.0)
-
-
-@dataclass(frozen=True)
 class EvaluationResult:
-    """Fixed-point estimate plus its trace and optional certificate."""
+    """Fixed-point estimate plus its trace."""
 
     v_fixed: np.ndarray
     trace: IterationTrace
-    certificate: ConvergenceCertificate | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "v_fixed", _frozen_array(self.v_fixed))
@@ -106,20 +72,11 @@ def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
     cap = min(max_iter, ITERATE_STORAGE_CAP) if store_iterates else 0
-    v, res_inf, res_2, k_final, code, iter_buf, stored = kernels.affine_iteration(
+    # the kernel returns v, then IterationTrace's fields in order
+    v, *run = kernels.affine_iteration(
         A, b, float(alpha), float(tol), int(max_iter), kernels.DIVERGENCE_GUARD, cap
     )
-    iterates = None
-    if store_iterates and k_final <= ITERATE_STORAGE_CAP:
-        iterates = iter_buf[: k_final + 1]
-    trace = IterationTrace(
-        residuals_inf=res_inf,
-        residuals_2=res_2,
-        k_final=int(k_final),
-        status=_STATUS_FROM_CODE[code],
-        iterates=iterates,
-    )
-    return v, trace
+    return EvaluationResult(v_fixed=v, trace=IterationTrace(*run))
 
 
 def exact_vi(
@@ -135,8 +92,7 @@ def exact_vi(
     Always converges eventually: alpha*||P||_inf = alpha < 1.
     """
     a = as_discount(alpha)
-    v, trace = _run_affine(chain.P.entries, chain.c, a, tol, max_iter, store_iterates)
-    return EvaluationResult(v_fixed=v, trace=trace, certificate=None)
+    return _run_affine(chain.P.entries, chain.c, a, tol, max_iter, store_iterates)
 
 
 def projected_vi(
@@ -152,11 +108,9 @@ def projected_vi(
     A = U^T P U and b = U^T c are formed once, then the affine loop runs
     until tol, max_iter, or the divergence guard (inf norm above 1e12).
     U may also be the compression U^T P U of chain.P, as compress returns
-    it; its .basis is then U, and neither A nor its spectral radius is
-    computed again: the operator keeps rho once it has computed it.
-    Divergence is reported as a status, not an exception: it is evidence
-    that alpha*rho(U^T P U) >= 1 for this instance. The certificate
-    (rho(A), alpha*rho(A)) is attached for K <= CERTIFICATE_SIZE_LIMIT.
+    it; its .basis is then U, and A is not formed again. Divergence is
+    reported as a status, not an exception: it is evidence that
+    alpha*rho(U^T P U) >= 1 for this instance.
     """
     op = None
     if isinstance(U, CompressedOperator):
@@ -171,11 +125,7 @@ def projected_vi(
     if op is None:
         op = compress(chain.P, U)
     b = U.U.T @ chain.c
-    v, trace = _run_affine(op.A, b, a, tol, max_iter, store_iterates)
-    certificate = None
-    if U.K <= CERTIFICATE_SIZE_LIMIT:
-        certificate = ConvergenceCertificate.of(a, op.rho)
-    return EvaluationResult(v_fixed=v, trace=trace, certificate=certificate)
+    return _run_affine(op.A, b, a, tol, max_iter, store_iterates)
 
 
 def _operands(A, b):
@@ -202,7 +152,7 @@ def series_eval(A, b, alpha, k: int) -> np.ndarray:
     M, vec = _operands(A, b)
     a = as_discount(alpha)
     x, bad_step = kernels.horner_partial_sum(M, vec, a, int(k), kernels.DIVERGENCE_GUARD)
-    if bad_step >= 0:
+    if bad_step is not None:
         raise PowerOverflowError(
             f"partial sum exceeded the divergence guard at sweep {bad_step}",
             k=bad_step,

@@ -65,9 +65,19 @@ EXPERIMENT_KINDS = (
     "proposition_suite",
 )
 
+#: The kinds whose record ids carry alpha (see _grid_targets).
+_ALPHA_ID_KINDS = ("evaluate", "compare_rates", "proposition_suite")
+
 #: Findings thresholds on the measured compression radius.
 RADIUS_EXCESS_TOL = 1e-9
 RADIUS_EQUALITY_TOL = 1e-6
+
+#: Projected runs record their certificate (rho of the iteration matrix)
+#: up to this K. It stays below spectral.DENSE_EIG_LIMIT: a certificate is
+#: an extra dense eigvals on a projected run that needs none to iterate,
+#: and raising the limit would add certificates to the reports of runs
+#: with 500 < K.
+CERTIFICATE_SIZE_LIMIT = 500
 
 
 def _list_field(name, value):
@@ -88,6 +98,17 @@ def _real_field(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} takes numbers, got {value!r}")
     return float(value)
+
+
+def _alpha_label(alpha: float) -> str:
+    """alpha as record ids and trace file names spell it."""
+    return f"{alpha:g}"
+
+
+def _colliding(values, label):
+    """The values whose label another value shares, in list order."""
+    labels = [label(v) for v in values]
+    return [v for v, key in zip(values, labels) if labels.count(key) > 1]
 
 
 @dataclass(frozen=True)
@@ -142,6 +163,11 @@ class ExperimentConfig:
             raise ConfigError("alpha_list must not be empty")
         if any(not (0.0 <= a < 1.0) for a in self.alpha_list):
             raise ConfigError("all alphas must lie in [0, 1)")
+        # each value names its records and trace files
+        if clash := _colliding(self.K_list, str):
+            raise ConfigError(f"K_list values {clash} would give records the same id")
+        if self.kind in _ALPHA_ID_KINDS and (clash := _colliding(self.alpha_list, _alpha_label)):
+            raise ConfigError(f"alpha_list values {clash} would give records the same id")
         if not (0.0 < self.tol < math.inf) or not (0.0 < self.vanish_threshold < math.inf):
             raise ConfigError("tol and vanish_threshold must be positive and finite")
         if not isinstance(self.store_traces, bool):
@@ -297,16 +323,6 @@ def _check_K(config: ExperimentConfig, n: int) -> None:
         raise ConfigError(f"K values {bad} exceed the instance state count n={n}")
 
 
-def _certificate_dict(cert):
-    if cert is None:
-        return None
-    return {
-        "rho_A": float(cert.rho_A),
-        "alpha_rho": float(cert.alpha_rho),
-        "certified": bool(cert.certified),
-    }
-
-
 def _base_record(inst, t):
     return {
         "id": f"t{inst.trial:04d}_{t.suffix}",
@@ -410,7 +426,7 @@ def _grid_targets(inst):
     """One target per (K, alpha), K-major."""
     config = inst.config
     return [
-        _Target(f"K{K}_a{alpha:g}", K, alpha, config.basis_strategy)
+        _Target(f"K{K}_a{_alpha_label(alpha)}", K, alpha, config.basis_strategy)
         for K in config.K_list
         for alpha in config.alpha_list
     ]
@@ -430,22 +446,27 @@ def _radius_fields(findings, rec, rho_P: float, rho_A: float) -> None:
         )
 
 
-def _projected_run(inst, K, alpha) -> EvaluationResult:
-    """Projected VI on the instance's compression, which keeps its rho for
-    the certificate and for the trial's other records."""
+def _projected_run(inst, K, alpha) -> tuple[EvaluationResult, dict | None]:
+    """Projected VI on the instance's compression, then its certificate:
+    rho(A), alpha*rho(A) and whether that is below 1, or None past
+    CERTIFICATE_SIZE_LIMIT. The compression keeps its rho for the trial's
+    other records."""
     config = inst.config
-    return projected_vi(
-        inst.chain, inst.compressed(K), alpha, tol=config.tol, max_iter=config.max_iter
-    )
+    op = inst.compressed(K)
+    proj = projected_vi(inst.chain, op, alpha, tol=config.tol, max_iter=config.max_iter)
+    if K > CERTIFICATE_SIZE_LIMIT:
+        return proj, None
+    alpha_rho = alpha * op.rho
+    return proj, {"rho_A": op.rho, "alpha_rho": alpha_rho, "certified": alpha_rho < 1.0}
 
 
-def _projected_fields(inst, t, rec, findings, proj: EvaluationResult) -> None:
+def _projected_fields(inst, t, rec, findings, proj: EvaluationResult, certificate) -> None:
     """Status, certificate and LU-oracle check of a projected run, with its
     fixed-point-mismatch and diverged findings."""
     status = proj.trace.status
     rec["status"] = status.value
     rec["k_final"] = proj.trace.k_final
-    rec["certificate"] = _certificate_dict(proj.certificate)
+    rec["certificate"] = certificate
     if status is RunStatus.CONVERGED:
         b = inst.basis(t.K).U.T @ inst.chain.c
         oracle = direct_solve(inst.compressed(t.K), b, t.alpha)
@@ -461,12 +482,12 @@ def _projected_fields(inst, t, rec, findings, proj: EvaluationResult) -> None:
 def _evaluate_record(inst, t, rec, findings):
     config = inst.config
     U = inst.basis(t.K)
-    proj = _projected_run(inst, t.K, t.alpha)
+    proj, certificate = _projected_run(inst, t.K, t.alpha)
     exact = inst.exact(t.alpha)
     rec["final_residual"] = float(proj.trace.residuals_inf[-1]) if proj.trace.k_final else 0.0
     rec["exact_status"] = exact.trace.status.value
     rec["exact_k_final"] = exact.trace.k_final
-    _projected_fields(inst, t, rec, findings, proj)
+    _projected_fields(inst, t, rec, findings, proj, certificate)
     rec["approx_err_inf"] = rec["approx_rel_inf"] = None
     if proj.trace.status is RunStatus.CONVERGED:
         err = approximation_error(exact.v_fixed, reconstruct(U, proj.v_fixed))
@@ -485,7 +506,7 @@ def _compare_rates_record(inst, t, rec, findings):
     # MatrixTooLargeError
     rho_P = inst.rho_P
     exact = inst.exact(t.alpha)
-    proj = _projected_run(inst, t.K, t.alpha)
+    proj, _ = _projected_run(inst, t.K, t.alpha)
     r_exact = rate_estimate(exact.trace, config.rate_window)
     r_proj = rate_estimate(proj.trace, config.rate_window)
     rec["rho_P"] = rho_P
@@ -568,7 +589,7 @@ def _proposition_record(inst, t, rec, findings):
     rec["vanish_first_k"] = van.first_k
     if not van.vanishes and root * A.rho < 1.0 - 1e-6:
         _finding(findings, rec, "power-not-vanishing", final_norm=van.final_norm)
-    _projected_fields(inst, t, rec, findings, _projected_run(inst, t.K, t.alpha))
+    _projected_fields(inst, t, rec, findings, *_projected_run(inst, t.K, t.alpha))
 
 
 def _status_counts(records):

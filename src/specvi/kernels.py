@@ -43,11 +43,16 @@ a power ends the run as diverged / overflowed instead of passing as
 converged.
 """
 
+import enum
+
 import numpy as np
 
-STATUS_CONVERGED = 0
-STATUS_MAX_ITER = 1
-STATUS_DIVERGED = 2
+
+class RunStatus(str, enum.Enum):
+    CONVERGED = "converged"
+    MAX_ITER = "max_iter"
+    DIVERGED = "diverged"
+
 
 #: Iterates whose inf-norm exceeds this are declared diverged.
 DIVERGENCE_GUARD = 1e12
@@ -90,13 +95,13 @@ def _affine_steps(A, b, alpha, W, c):
 def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     """Run v <- b + alpha*(A @ v) from v = 0 until the stopping rule fires.
 
-    Returns (v, res_inf, res_2, k_final, status, iter_buf, stored) where
-    res_* hold one entry per executed step, iter_buf rows 0..stored-1 are
-    the iterates v^(0)..v^(stored-1) (row 0 is the zero start) and status
-    is one of the STATUS_* codes. The residuals are collected chunk by
-    chunk and joined once, so their size follows k_final rather than
-    max_iter. Overflow raises no warning; it ends the run as
-    STATUS_DIVERGED.
+    Returns (v, res_inf, res_2, k_final, status, iterates) where res_*
+    hold one entry per executed step, status is a RunStatus and iterates
+    has the rows v^(0)..v^(k_final) (row 0 is the zero start), or is None
+    when the run outlasts iter_cap steps. The residuals and iterates are
+    collected chunk by chunk and joined once, so their size follows
+    k_final rather than max_iter. Overflow raises no warning; it ends the
+    run as RunStatus.DIVERGED.
     """
     K = b.shape[0]
     width = min(MAX_CHUNK, max_iter)
@@ -109,10 +114,9 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     # Each chunk adds its steps' residuals; the empty first piece keeps a
     # run of no steps joinable.
     res_inf, res_2 = [np.empty(0)], [np.empty(0)]
-    cap_rows = iter_cap + 1 if iter_cap > 0 else 1
-    iter_buf = np.zeros((cap_rows, K))
-    stored = 1 if iter_cap > 0 else 0
-    status = STATUS_MAX_ITER
+    # Kept while the run stays within iter_cap steps.
+    kept = [np.zeros((1, K))] if iter_cap > 0 else None
+    status = RunStatus.MAX_ITER
     k_final = n = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, c in _chunks(max_iter):
@@ -133,15 +137,16 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
             k_final = k0 + n
             res_inf.append(r_inf[:n])
             res_2.append(np.sqrt(r_sq[:n]))
-            if stored > 0 and k0 < iter_cap:
-                last = min(k_final, iter_cap)
-                iter_buf[k0 + 1 : last + 1] = W[1 : last - k0 + 1]
-                stored = last + 1
+            if kept is not None and k_final > iter_cap:
+                kept = None
+            elif kept is not None:
+                kept.append(W[1 : n + 1].copy())
             if stop[j]:
-                status = STATUS_DIVERGED if diverged[j] else STATUS_CONVERGED
+                status = RunStatus.DIVERGED if diverged[j] else RunStatus.CONVERGED
                 break
     v = W[n].copy()
-    return v, np.concatenate(res_inf), np.concatenate(res_2), k_final, status, iter_buf, stored
+    iterates = None if kept is None else np.concatenate(kept)
+    return v, np.concatenate(res_inf), np.concatenate(res_2), k_final, status, iterates
 
 
 def horner_partial_sum(A, b, alpha, k, guard):
@@ -149,7 +154,7 @@ def horner_partial_sum(A, b, alpha, k, guard):
 
     Each sweep applies x <- b + alpha*(A @ x), the same update as the
     iteration kernel, so the two stay bit-for-bit comparable. Returns
-    (x, bad_step); bad_step is -1 on success, else the 1-based sweep at
+    (x, bad_step); bad_step is None on success, else the 1-based sweep at
     which the guard tripped (a NaN trips it too). Overflow raises no
     warning.
     """
@@ -170,13 +175,13 @@ def horner_partial_sum(A, b, alpha, k, guard):
             if bad[j]:
                 return W[j + 1].copy(), k0 + j + 1
             n = c
-    return W[n].copy(), -1
+    return W[n].copy(), None
 
 
 def power_max_norms(A, k_max, threshold):
     """Scan max-norms of A^k for k = 1..k_max, stopping at the threshold.
 
-    Returns (vanished, first_k, final_norm); first_k is 0 when the
+    Returns (vanished, first_k, final_norm); first_k is None when the
     threshold was never reached. Non-finite entries (overflow or NaN) end
     the scan with final_norm = inf. Overflow raises no warning.
     """
@@ -206,9 +211,9 @@ def power_max_norms(A, k_max, threshold):
             j = int(stop.argmax())
             if stop[j]:
                 if bad[j]:
-                    return False, 0, np.inf
+                    return False, None, np.inf
                 return True, k0 + j + 1, float(norms[j])
             last = lo + c - 1
             final_norm = float(norms[-1])
-    return False, 0, final_norm
+    return False, None, final_norm
 

@@ -376,6 +376,9 @@ def read_mdp(directory) -> Mdp:
         raise ParseError(f"{meta_path}: meta.json must carry integers 'n' and 'm' >= 1")
     if refusal := _over_budget(n, m):
         raise ParseError(f"{meta_path}: {refusal}")
+    seed = meta.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ParseError(f"{meta_path}: meta.json's 'seed' must be null or an integer")
     transitions = []
     for a in range(m):
         T = read_matrix(os.path.join(directory, f"T{a}.mat"))
@@ -385,10 +388,9 @@ def read_mdp(directory) -> Mdp:
     costs = read_matrix(os.path.join(directory, "costs.mat"))
     if costs.shape != (n, m):
         raise ParseError(f"costs.mat: expected shape ({n}, {m}), got {costs.shape}")
-    seed = meta.get("seed")
     return Mdp(
         tuple(transitions),
         costs,
-        seed=None if seed is None else int(seed),
+        seed=seed,
         provenance=str(meta.get("provenance", "")),
     )

@@ -570,5 +570,4 @@ def power_vanishing_check(A, k_max: int, threshold: float) -> VanishingCheck:
         raise InvalidParameterError("k_max must be >= 1")
     if threshold <= 0:
         raise InvalidParameterError("threshold must be positive")
-    vanished, first_k, final_norm = kernels.power_max_norms(M, k_max, threshold)
-    return VanishingCheck(bool(vanished), int(first_k) if vanished else None, float(final_norm))
+    return VanishingCheck(*kernels.power_max_norms(M, int(k_max), threshold))

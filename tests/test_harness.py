@@ -8,7 +8,7 @@ from numpy.testing import assert_array_equal
 
 from specvi import evaluation, harness, spectral
 from specvi.cli import main as cli_main
-from specvi.errors import ConfigError
+from specvi.errors import ConfigError, EigenFailureError
 from specvi.evaluation import EvaluationResult, IterationTrace, RunStatus, exact_vi
 from specvi.harness import (
     ExperimentConfig,
@@ -94,6 +94,43 @@ class TestConfig:
     def test_missing_required(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"kind": "evaluate"})
+
+    KINDS = ["evaluate", "compare_rates", "check_compression", "gelfand_study", "proposition_suite"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repeated_K_is_refused(self, tmp_path, kind):
+        with pytest.raises(ConfigError, match=r"K_list values \[4, 4\] would give records the same id"):
+            config(tmp_path, kind=kind, K_list=[4, 2, 4])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("alphas", [[0.9, 0.9], [0.9999999, 0.99999999]])
+    def test_alphas_that_share_an_id_label(self, tmp_path, kind, alphas):
+        # only the kinds whose record ids carry alpha refuse them
+        if kind in ("check_compression", "gelfand_study"):
+            assert config(tmp_path, kind=kind, alpha_list=alphas).alpha_list == tuple(alphas)
+            return
+        with pytest.raises(ConfigError, match=rf"alpha_list values \[{alphas[0]}, {alphas[1]}\]"):
+            config(tmp_path, kind=kind, alpha_list=alphas)
+
+    def test_id_collision_is_refused_before_the_output_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        body = {
+            "mdp_source": {"generator": "random", "n": 20, "m": 1},
+            "output_dir": str(tmp_path / "out"),
+            "K_list": [4],
+            "alpha_list": [0.9999999, 0.99999999],
+        }
+        cfg.write_text(json.dumps(body))
+        assert cli_main(["evaluate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: alpha_list values [0.9999999, 0.99999999] would give records the same id\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_distinct_labels_keep_their_ids(self, tmp_path):
+        cfg = config(tmp_path, K_list=[3, 2], alpha_list=[0.9, 0.99, 0.999999], trials=1)
+        ids = [r["id"] for r in run_experiment(cfg).records]
+        assert ids == [f"t0000_K{K}_a{a}" for K in (3, 2) for a in ("0.9", "0.99", "0.999999")]
 
     def test_K_exceeding_n_fails_at_run(self, tmp_path):
         cfg = config(tmp_path, K_list=[99])
@@ -374,6 +411,112 @@ class TestInstanceQuantitiesOnce:
         assert [r["error_type"] for r in report.records] == ["SplitConjugatePairError"] * 2
 
 
+def certificate_of(alpha, rho):
+    return {"rho_A": rho, "alpha_rho": alpha * rho, "certified": alpha * rho < 1.0}
+
+
+class TestCertificate:
+    """A projected run's record carries rho(U^T P U), alpha*rho and whether
+    that is below 1, from the instance's compression."""
+
+    RANDOM_30 = {"generator": "random", "n": 30, "m": 2}
+
+    def test_certificate(self, tmp_path):
+        cfg = config(
+            tmp_path,
+            mdp_source={"generator": "symmetric_walk", "n": 20, "self_loop": 0.2},
+            K_list=[4],
+            basis_strategy="schur_dominant",
+            trials=1,
+            seed=5,
+        )
+        cert = run_experiment(cfg).records[0]["certificate"]
+        assert cert is not None
+        assert cert["certified"] and cert["alpha_rho"] == pytest.approx(0.9, abs=1e-9)
+
+    def test_diverged_record_is_not_certified(self, tmp_path):
+        # the golden evaluate_statuses config: trial 7 diverges
+        cfg = config(
+            tmp_path,
+            mdp_source={"generator": "random", "n": 3, "m": 1},
+            K_list=[1],
+            alpha_list=[0.99],
+            trials=10,
+            basis_strategy="svd_top",
+            tol=1e-8,
+            max_iter=3000,
+            store_traces=False,
+        )
+        diverged = [r for r in run_experiment(cfg).records if r["status"] == "diverged"]
+        assert diverged
+        for rec in diverged:
+            assert rec["certificate"] is not None and not rec["certificate"]["certified"]
+
+    def test_rho_solved_once_per_compression(self, tmp_path, monkeypatch):
+        calls = TestInstanceQuantitiesOnce.count_calls(monkeypatch, spectral, "spectral_radius")
+        cfg = config(
+            tmp_path,
+            mdp_source=self.RANDOM_30,
+            K_list=[3, 5],
+            alpha_list=[0.5, 0.9],
+            basis_strategy="random_orthonormal",
+            store_traces=False,
+        )
+        report = run_experiment(cfg)
+        # per trial: one rho per K, shared by its alphas
+        assert len(calls) == 2 * 2
+        for rec in report.records:
+            op = harness.Instance(cfg, rec["trial"]).compressed(rec["K"])
+            assert rec["certificate"] == certificate_of(rec["alpha"], spectral.spectral_radius(op.A))
+
+    def test_a_failed_rho_is_computed_again(self, tmp_path, monkeypatch):
+        calls = []
+        real = spectral.spectral_radius
+
+        def failing_first(M):
+            calls.append(M)
+            if len(calls) == 1:
+                raise EigenFailureError("injected failure")
+            return real(M)
+
+        monkeypatch.setattr(spectral, "spectral_radius", failing_first)
+        cfg = config(
+            tmp_path,
+            mdp_source=self.RANDOM_30,
+            K_list=[5],
+            alpha_list=[0.9, 0.5],
+            basis_strategy="random_orthonormal",
+            trials=1,
+            seed=3,
+        )
+        failed, ok = run_experiment(cfg).records
+        # the record ends at the failed eigensolve, before the exact run
+        assert sorted(failed) == sorted(
+            ["id", "trial", "instance_seed", "provenance", "n", "K", "alpha", "strategy"]
+            + ["status", "error_type", "error"]
+        )
+        assert (failed["status"], failed["error_type"]) == ("error", "EigenFailureError")
+        assert len(calls) == 2
+        op = harness.Instance(cfg, 0).compressed(5)
+        assert ok["certificate"] == certificate_of(0.5, real(op.A))
+
+    def test_no_rho_above_the_certificate_limit(self, tmp_path, monkeypatch):
+        calls = TestInstanceQuantitiesOnce.count_calls(monkeypatch, spectral, "spectral_radius")
+        monkeypatch.setattr(harness, "CERTIFICATE_SIZE_LIMIT", 4)
+        cfg = config(
+            tmp_path,
+            mdp_source=self.RANDOM_30,
+            K_list=[4, 5],
+            basis_strategy="random_orthonormal",
+            trials=1,
+        )
+        at_limit, above = run_experiment(cfg).records
+        assert at_limit["certificate"] is not None
+        assert above["certificate"] is None
+        # only K = 4 solves for its rho
+        assert len(calls) == 1
+
+
 class TestPropositionSuite:
     def test_symmetric_class_no_divergence(self, tmp_path):
         cfg = config(
@@ -587,6 +730,20 @@ class TestCli:
         cfg.write_text(json.dumps(body))
         assert cli_main(["evaluate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {mdp_dir / 'T0.mat'}: not UTF-8 text\n"
+
+    def test_non_integer_meta_seed_is_error_line(self, tmp_path, capsys):
+        mdp_dir = tmp_path / "mdp"
+        write_mdp(make_random_mdp(5, 1, seed=0), str(mdp_dir))
+        (mdp_dir / "meta.json").write_text(json.dumps({"n": 5, "m": 1, "seed": "abc"}))
+        cfg = tmp_path / "c.json"
+        body = {"mdp_source": {"path": str(mdp_dir)}, "output_dir": str(tmp_path / "out")}
+        cfg.write_text(json.dumps(body))
+        assert cli_main(["evaluate", "--config", str(cfg)]) == 1
+        meta = mdp_dir / "meta.json"
+        assert capsys.readouterr().err == (
+            f"error: {meta}: meta.json's 'seed' must be null or an integer\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_is_exit_one(self, tmp_path):
         cfg = tmp_path / "bad.json"

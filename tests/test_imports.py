@@ -168,6 +168,9 @@ def test_batches_import_no_numpy_module(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+KERNEL_LAYERS = ["kernels.affine_iteration", "kernels.power_max_norms"]
+
+
 def test_perfbench_tracing_installs_and_traced_batches_run(tmp_path):
     configs = {
         "evaluate": dict(
@@ -190,15 +193,31 @@ def test_perfbench_tracing_installs_and_traced_batches_run(tmp_path):
         f"""
         import sys
         sys.path.insert(0, {PERFBENCH!r})
+        import json
         import tracing
         import specvi.cli
         tracer = tracing.Tracer()
         tracing.install(tracer)
         print([specvi.cli.main(argv) for argv in {commands!r}])
         print(tracer.totals["harness"]["calls"])
+        print(json.dumps([tracer.totals[name] for name in {KERNEL_LAYERS!r}]))
         """
     )
-    assert out.splitlines()[-2:] == ["[0, 0]", "2"]
+    lines = out.splitlines()
+    assert lines[-3:-1] == ["[0, 0]", "2"]
+    # the counters perfbench reads off each kernel's result
+    affine, scan = json.loads(lines[-1])
+    records = [
+        rec
+        for command in configs
+        for rec in json.loads((tmp_path / command / "report.json").read_text())["records"]
+    ]
+    # one K and one alpha: no record shares its exact run with another
+    steps = sum(rec.get("k_final", 0) + rec.get("exact_k_final", 0) for rec in records)
+    assert affine["steps"] == steps
+    (vanishing,) = [rec for rec in records if "vanish_first_k" in rec]
+    assert vanishing["power_vanishes"]
+    assert scan["products"] == vanishing["vanish_first_k"] - 1
 
 
 # Records the OpenBLAS timeout each scipy extension module is created
@@ -337,7 +356,6 @@ def test_public_names_are_pinned():
         "ApproximationError",
         "CompressedOperator",
         "ConfigError",
-        "ConvergenceCertificate",
         "DimensionMismatchError",
         "EigenFailureError",
         "EvaluationResult",

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from specvi import kernels
 from specvi.errors import PowerOverflowError
-from specvi.evaluation import RunStatus, _run_affine, series_eval
+from specvi.evaluation import _run_affine, series_eval
+from specvi.kernels import RunStatus
 from specvi.spectral import power_vanishing_check
 
 
@@ -35,10 +36,8 @@ def _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     v = np.zeros(K)
     res_inf = np.empty(max_iter)
     res_2 = np.empty(max_iter)
-    rows = iter_cap + 1 if iter_cap > 0 else 1
-    iter_buf = np.zeros((rows, K))
-    stored = 1 if iter_cap > 0 else 0
-    status = kernels.STATUS_MAX_ITER
+    iterates = [np.zeros(K)] if iter_cap > 0 else None
+    status = RunStatus.MAX_ITER
     k_final = 0
     for step in range(max_iter):
         w = A @ v
@@ -55,17 +54,19 @@ def _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
         res_inf[step] = r_inf
         res_2[step] = math.sqrt(r_sq)
         k_final = step + 1
-        if stored > 0 and step + 1 <= iter_cap:
-            for i in range(K):
-                iter_buf[step + 1, i] = v[i]
-            stored = step + 2
+        if iterates is not None and step + 1 <= iter_cap:
+            iterates.append(v.copy())
+        else:
+            iterates = None
         if v_norm > guard or r_inf != r_inf or v_norm != v_norm:
-            status = kernels.STATUS_DIVERGED
+            status = RunStatus.DIVERGED
             break
         if r_inf <= tol:
-            status = kernels.STATUS_CONVERGED
+            status = RunStatus.CONVERGED
             break
-    return v, res_inf[:k_final], res_2[:k_final], k_final, status, iter_buf, stored
+    if iterates is not None:
+        iterates = np.array(iterates)
+    return v, res_inf[:k_final], res_2[:k_final], k_final, status, iterates
 
 
 def _reference_horner_partial_sum(A, b, alpha, k, guard):
@@ -80,7 +81,7 @@ def _reference_horner_partial_sum(A, b, alpha, k, guard):
             x_norm = _running_max(x_norm, abs(y))
         if x_norm > guard or x_norm != x_norm:
             return x, step + 1
-    return x, -1
+    return x, None
 
 
 def _reference_power_max_norms(A, k_max, threshold):
@@ -93,13 +94,13 @@ def _reference_power_max_norms(A, k_max, threshold):
             for j in range(n):
                 norm = _running_max(norm, abs(B[i, j]))
         if norm != norm or norm == np.inf:
-            return False, 0, np.inf
+            return False, None, np.inf
         final_norm = norm
         if norm <= threshold:
             return True, k, norm
         if k < k_max:
             B = B @ A
-    return False, 0, final_norm
+    return False, None, final_norm
 
 
 def _same_bytes(got, want):
@@ -108,16 +109,23 @@ def _same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _same_iterates(got, want):
+    """Both None, or the same bytes."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        _same_bytes(got, want)
+
+
 def _check_affine(A, b, alpha, tol, max_iter, guard, iter_cap):
     """Run the kernel and the reference loop; return (k_final, status)."""
     got = kernels.affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap)
     want = _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap)
-    v, res_inf, res_2, k_final, status, iter_buf, stored = got
+    v, res_inf, res_2, k_final, status, iterates = got
     _same_bytes(v, want[0])
     _same_bytes(res_inf, want[1])
     _same_bytes(res_2, want[2])
-    assert (k_final, status, stored) == want[3:5] + (want[6],)
-    _same_bytes(iter_buf, want[5])
+    assert (k_final, status) == want[3:5]
+    _same_iterates(iterates, want[5])
     return k_final, status
 
 
@@ -157,9 +165,9 @@ def test_chunk_edges_follow_the_schedule():
     "scale, alpha, tol, max_iter, iter_cap",
     [
         (1.0, 0.9, 1e-10, 100000, 0),  # converges after ~200 steps, mid-chunk
-        (1.0, 0.95, 1e-10, 100000, 40),  # converges; first 40 iterates stored
+        (1.0, 0.95, 1e-10, 100000, 40),  # converges past iter_cap: no iterates
         (1.0, 0.99, 1e-300, 130, 200),  # max_iter, inside the fifth chunk
-        (1.0, 0.99, 1e-300, 120, 13),  # max_iter on a chunk edge; storage ends mid-chunk
+        (1.0, 0.99, 1e-300, 120, 13),  # max_iter on a chunk edge; iter_cap mid-chunk
         (1.0, 0.99, 1e-300, 3, 5),  # max_iter inside the first chunk
         (3.0, 0.9, 1e-10, 100000, 5),  # diverges past the guard mid-chunk (step 29 or 30)
         (math.nan, 0.9, 1e-10, 100, 5),  # a NaN in A: diverges at step 1
@@ -187,17 +195,17 @@ def test_stops_on_and_next_to_chunk_edges(K, k_stop):
     A, b = _instance(K, 40 + K)
     # converges at k_stop: tol is the reference's residual there
     res_inf = _reference_affine_iteration(A, b, 0.9, 1e-300, k_stop, 1e12, 0)[1]
-    converged = (k_stop, kernels.STATUS_CONVERGED)
+    converged = (k_stop, RunStatus.CONVERGED)
     assert _check_affine(A, b, 0.9, res_inf[-1], 100000, 1e12, 30) == converged
     # runs out of steps at k_stop
-    max_iter = (k_stop, kernels.STATUS_MAX_ITER)
+    max_iter = (k_stop, RunStatus.MAX_ITER)
     assert _check_affine(A, b, 0.9, 1e-300, k_stop, 1e12, 30) == max_iter
     # 3*A grows every iterate, so a guard at the norm of iterate k_stop - 1
     # (0.0 at k_stop = 1) trips at step k_stop
     A3 = 3.0 * A
     iterates = _reference_affine_iteration(A3, b, 0.9, 1e-300, k_stop, np.inf, k_stop)[5]
     guard = np.abs(iterates[k_stop - 1]).max()
-    diverged = (k_stop, kernels.STATUS_DIVERGED)
+    diverged = (k_stop, RunStatus.DIVERGED)
     assert _check_affine(A3, b, 0.9, 1e-300, 100000, guard, 30) == diverged
     # Horner: the same growth trips the guard at sweep k_stop
     x_prev = _reference_horner_partial_sum(A3, b, 0.9, k_stop - 1, np.inf)[0]
@@ -207,7 +215,7 @@ def test_stops_on_and_next_to_chunk_edges(K, k_stop):
 def test_divergence_outranks_convergence_on_one_step():
     # step 1 is both past the guard and within tol; divergence is tested first
     A, b = _instance(4, 5)
-    diverged = (1, kernels.STATUS_DIVERGED)
+    diverged = (1, RunStatus.DIVERGED)
     assert _check_affine(A, 1e13 * b, 0.9, 1e14, 100, 1e12, 5) == diverged
 
 
@@ -215,7 +223,7 @@ def test_nan_residual_diverges_under_an_infinite_guard():
     # an inf iterate passes guard = inf; the inf - inf residual after it
     # is NaN and ends the run
     A = np.array([[1e200]])
-    diverged = (4, kernels.STATUS_DIVERGED)
+    diverged = (4, RunStatus.DIVERGED)
     with np.errstate(over="ignore", invalid="ignore"):
         assert _check_affine(A, np.ones(1), 0.9, 1e-300, 100, np.inf, 5) == diverged
 
@@ -230,7 +238,7 @@ def test_steps_past_the_stop_raise_no_warning():
         got = kernels.affine_iteration(A, b, 0.9, 10.0, 100, 1e12, 5)
         x, bad = kernels.horner_partial_sum(A, b, 0.9, 100, 1e12)
     want = _reference_affine_iteration(A, b, 0.9, 10.0, 100, 1e12, 5)
-    assert (got[3], got[4], got[6]) == (1, kernels.STATUS_CONVERGED, 2)
+    assert (got[3], got[4], got[5].shape[0]) == (1, RunStatus.CONVERGED, 2)
     for g, w in zip(got[:3] + got[5:6], want[:3] + want[5:6]):
         _same_bytes(g, w)
     x_ref, bad_ref = _reference_horner_partial_sum(A, b, 0.9, 100, 1e12)
@@ -286,11 +294,11 @@ def test_power_scan_stops_at_chunk_edges(K):
         assert _check_power_scan(A, 10000, norms[k - 1])[:2] == (True, k)
     # k_max at a chunk's last power, the threshold one power past it
     for k_max in (ends[0], ends[1]):
-        assert _check_power_scan(A, k_max, norms[k_max])[:2] == (False, 0)
+        assert _check_power_scan(A, k_max, norms[k_max])[:2] == (False, None)
     # k_max below the first chunk, stopping inside it or not at all
     assert _check_power_scan(A, 3, norms[1])[:2] == (True, 2)
     got = _check_power_scan(A, 3, norms[3])
-    assert got[:2] == (False, 0) and got[2] == norms[2]
+    assert got[:2] == (False, None) and got[2] == norms[2]
 
 
 def test_power_scan_stops_on_nan_inside_a_chunk():
@@ -304,7 +312,7 @@ def test_power_scan_stops_on_nan_inside_a_chunk():
         rng = np.random.default_rng(seed)
         signs = rng.choice([-1.0, 1.0], size=(33, 33))
         A = signs * 10.0 ** rng.uniform(0.0, 80.0, size=(33, 33))
-        assert _check_power_scan(A, 100, 1e-12) == (False, 0, np.inf)
+        assert _check_power_scan(A, 100, 1e-12) == (False, None, np.inf)
         B, k = A, 1
         with np.errstate(over="ignore", invalid="ignore"):
             while np.isfinite(B).all():
@@ -318,13 +326,13 @@ def test_power_scan_stops_on_overflow_inside_a_chunk():
     # 10^k overflows at k = 309, inside the chunk of powers 249..312
     ends = _power_chunk_ends(2, 5000)
     assert 248 in ends and 312 in ends
-    assert _check_power_scan(10.0 * np.eye(2), 5000, 1e-12) == (False, 0, np.inf)
+    assert _check_power_scan(10.0 * np.eye(2), 5000, 1e-12) == (False, None, np.inf)
 
 
 def test_power_scan_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernels.power_max_norms(10.0 * np.eye(2), 5000, 1e-12) == (False, 0, np.inf)
+        assert kernels.power_max_norms(10.0 * np.eye(2), 5000, 1e-12) == (False, None, np.inf)
 
 
 def test_backend_selected():
@@ -334,9 +342,9 @@ def test_backend_selected():
 
 def test_affine_iteration_converges_to_fixed_point():
     A, b = _instance(8, 0)
-    v, ri, r2, k, status, _, _ = kernels.affine_iteration(A, b, 0.9, 1e-12, 100000, 1e12, 0)
+    v, ri, r2, k, status, _ = kernels.affine_iteration(A, b, 0.9, 1e-12, 100000, 1e12, 0)
     ref = np.linalg.solve(np.eye(8) - 0.9 * A, b)
-    assert status == kernels.STATUS_CONVERGED
+    assert status is RunStatus.CONVERGED
     assert np.abs(v - ref).max() < 1e-10
     assert len(ri) == k == len(r2)
     assert ri[-1] <= 1e-12
@@ -345,31 +353,31 @@ def test_affine_iteration_converges_to_fixed_point():
 def test_affine_iteration_divergence_guard():
     A = 2.0 * np.eye(2)
     b = np.ones(2)
-    v, ri, r2, k, status, _, _ = kernels.affine_iteration(A, b, 0.9, 1e-12, 100000, 1e12, 0)
-    assert status == kernels.STATUS_DIVERGED
+    v, ri, r2, k, status, _ = kernels.affine_iteration(A, b, 0.9, 1e-12, 100000, 1e12, 0)
+    assert status is RunStatus.DIVERGED
     assert k < 100000
 
 
 def test_affine_iteration_max_iter_status():
     A, b = _instance(5, 1)
-    _, _, _, k, status, _, _ = kernels.affine_iteration(A, b, 0.99, 1e-300, 50, 1e12, 0)
-    assert status == kernels.STATUS_MAX_ITER
+    _, _, _, k, status, _ = kernels.affine_iteration(A, b, 0.99, 1e-300, 50, 1e12, 0)
+    assert status is RunStatus.MAX_ITER
     assert k == 50
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
 def test_residual_buffers_follow_iterations_not_max_iter(alpha):
     A, b = _instance(6, 3)
-    _, ri, r2, k, status, _, _ = kernels.affine_iteration(A, b, alpha, 1e-12, 100000, 1e12, 0)
-    assert status == kernels.STATUS_CONVERGED
+    _, ri, r2, k, status, _ = kernels.affine_iteration(A, b, alpha, 1e-12, 100000, 1e12, 0)
+    assert status is RunStatus.CONVERGED
     for res in (ri, r2):
         assert res.size == k and res.flags.owndata
 
 
 def test_iterate_buffer_contents():
     A, b = _instance(4, 2)
-    v, ri, _, k, _, buf, stored = kernels.affine_iteration(A, b, 0.5, 1e-300, 10, 1e12, 10)
-    assert stored == 11
+    v, ri, _, k, _, buf = kernels.affine_iteration(A, b, 0.5, 1e-300, 10, 1e12, 10)
+    assert buf.shape == (11, 4)
     assert_array_equal(buf[0], np.zeros(4))
     # manual recurrence replay
     x = np.zeros(4)
@@ -380,10 +388,10 @@ def test_iterate_buffer_contents():
 
 def test_horner_matches_iteration_bitwise():
     A, b = _instance(6, 3)
-    _, _, _, _, _, buf, stored = kernels.affine_iteration(A, b, 0.95, 1e-300, 30, 1e12, 30)
+    _, _, _, _, _, buf = kernels.affine_iteration(A, b, 0.95, 1e-300, 30, 1e12, 30)
     for k in range(30):
         x, bad = kernels.horner_partial_sum(A, b, 0.95, k, 1e12)
-        assert bad == -1
+        assert bad is None
         assert_array_equal(x, buf[k + 1])
 
 
@@ -413,7 +421,7 @@ class TestNaNIsNotSuccess:
 
     def test_affine_run_reports_divergence(self):
         A = np.array([[0.5, np.nan], [0.0, 0.5]])
-        _, trace = _run_affine(A, np.ones(2), 0.9, 1e-10, 1000, False)
+        trace = _run_affine(A, np.ones(2), 0.9, 1e-10, 1000, False).trace
         assert trace.status is RunStatus.DIVERGED
 
     def test_series_eval_raises(self):

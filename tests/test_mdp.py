@@ -322,6 +322,22 @@ class TestMdpIo:
         with pytest.raises(ParseError, match="meta.json"):
             read_mdp(d)
 
+    @pytest.mark.parametrize("seed", ["abc", "3", 5.7, True, [1]])
+    def test_bad_meta_seed_is_refused_before_any_matrix_is_read(self, tmp_path, seed):
+        d = tmp_path / "mdp"
+        write_mdp(make_random_mdp(3, 1, seed=0), d)
+        (d / "T0.mat").unlink()
+        (d / "meta.json").write_text(json.dumps({"n": 3, "m": 1, "seed": seed}))
+        with pytest.raises(ParseError, match="meta.json's 'seed'"):
+            read_mdp(d)
+
+    @pytest.mark.parametrize("seed", [None, 0, -7, 2**70])
+    def test_meta_seed_is_null_or_any_integer(self, tmp_path, seed):
+        d = tmp_path / "mdp"
+        write_mdp(make_random_mdp(3, 1, seed=0), d)
+        (d / "meta.json").write_text(json.dumps({"n": 3, "m": 1, "seed": seed}))
+        assert read_mdp(d).seed == seed
+
 
 class TestTypes:
     def test_discount_factor_range(self):
