@@ -2,9 +2,9 @@
 
 Subcommands: generate, evaluate, compare-rates, check-compression,
 prop-suite, gelfand-study. Each takes --config <path> (JSON, see README
-for the schema) plus flag overrides --alpha, --k, --tol, --seed, --out.
-Exit code 0 on a completed batch (findings included), 1 on config or IO
-errors.
+for the schema) plus flag overrides --seed and --out; the five run
+subcommands also take --alpha, --k and --tol. Exit code 0 on a completed
+batch (findings included), 1 on config or IO errors, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -47,18 +47,18 @@ def _apply_overrides(data: dict, args) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    data = _apply_overrides(_load_config(args.config), args)
+    data = _load_config(args.config)
     source = data.get("mdp_source")
     if source is None:
         raise SpecviError("generate needs an 'mdp_source' in the config")
-    out = data.get("output_dir")
+    out = data.get("output_dir") if args.out is None else args.out
     if out is None:
         raise SpecviError("generate needs an output directory (--out or 'output_dir')")
     probe = ExperimentConfig(
         kind="evaluate",
         mdp_source=source,
         output_dir=out,
-        seed=data.get("seed", 0),
+        seed=data.get("seed", 0) if args.seed is None else args.seed,
     )
     mdp, _ = harness._make_instance(probe, 0)
     write_mdp(mdp, out)
@@ -88,23 +88,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectrally-projected value iteration experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("generate", "write a generated MDP directory", _cmd_generate),
-        ("evaluate", "projected evaluation sweep", _make_run_command("evaluate")),
-        ("compare-rates", "exact vs projected convergence rates", _make_run_command("compare_rates")),
-        ("check-compression", "measure rho(U^T P U) vs rho(P)", _make_run_command("check_compression")),
-        ("prop-suite", "run all proposition checks", _make_run_command("proposition_suite")),
-        ("gelfand-study", "norm-sequence convergence study", _make_run_command("gelfand_study")),
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--seed", type=int, help="override: base instance seed")
+    shared.add_argument("--out", help="override: output directory")
+    generate = sub.add_parser("generate", help="write a generated MDP directory", parents=[shared])
+    generate.set_defaults(func=_cmd_generate)
+    runs = [
+        ("evaluate", "projected evaluation sweep", "evaluate"),
+        ("compare-rates", "exact vs projected convergence rates", "compare_rates"),
+        ("check-compression", "measure rho(U^T P U) vs rho(P)", "check_compression"),
+        ("prop-suite", "run all proposition checks", "proposition_suite"),
+        ("gelfand-study", "norm-sequence convergence study", "gelfand_study"),
     ]
-    for name, help_text, func in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
+    for name, help_text, kind in runs:
+        p = sub.add_parser(name, help=help_text, parents=[shared])
         p.add_argument("--alpha", type=float, help="override: single discount factor")
         p.add_argument("--k", type=int, help="override: single subspace dimension")
         p.add_argument("--tol", type=float, help="override: stopping tolerance")
-        p.add_argument("--seed", type=int, help="override: base instance seed")
-        p.add_argument("--out", help="override: output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_make_run_command(kind))
     return parser
 
 

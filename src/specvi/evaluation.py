@@ -115,8 +115,6 @@ def projected_vi(
     op = None
     if isinstance(U, CompressedOperator):
         op, U = U, U.basis
-        if U is None:
-            raise InvalidParameterError("the compressed operator carries no basis")
     if U.n != chain.n:
         raise DimensionMismatchError(
             f"basis rows {U.n} do not match chain size {chain.n}"

@@ -361,7 +361,8 @@ class Instance:
     records.
 
     The work goes through this module's build_basis, spectral_radius,
-    compress and exact_vi; each compression keeps its own spectral radius
+    compress and exact_vi. compressed(K) is the one per-K object: it
+    carries its basis and keeps its own spectral radius
     (CompressedOperator.rho). schur_dominant bases for all K share one
     Schur form, which the first build_basis call stores in the instance's
     memo, sorted only as far as the largest K asked. A failed computation
@@ -386,20 +387,18 @@ class Instance:
     def rho_P(self) -> float:
         return self._cached("rho_P", lambda: spectral_radius(self.chain.P))
 
-    def basis(self, K: int):
+    def compressed(self, K: int):
+        """U^T P U for the trial's K-column basis U, which it carries as .basis."""
+        P = self.chain.P
         return self._cached(
-            ("basis", K),
-            lambda: build_basis(
-                self.chain.P,
-                K,
-                strategy=self.config.basis_strategy,
-                seed=self.seed,
-                memo=self._schur_memo,
+            ("compressed", K),
+            lambda: compress(
+                P,
+                build_basis(
+                    P, K, strategy=self.config.basis_strategy, seed=self.seed, memo=self._schur_memo
+                ),
             ),
         )
-
-    def compressed(self, K: int):
-        return self._cached(("compressed", K), lambda: compress(self.chain.P, self.basis(K)))
 
     def exact(self, alpha: float):
         return self._cached(
@@ -468,8 +467,8 @@ def _projected_fields(inst, t, rec, findings, proj: EvaluationResult, certificat
     rec["k_final"] = proj.trace.k_final
     rec["certificate"] = certificate
     if status is RunStatus.CONVERGED:
-        b = inst.basis(t.K).U.T @ inst.chain.c
-        oracle = direct_solve(inst.compressed(t.K), b, t.alpha)
+        op = inst.compressed(t.K)
+        oracle = direct_solve(op, op.basis.U.T @ inst.chain.c, t.alpha)
         rec["oracle_err_inf"] = float(np.abs(proj.v_fixed - oracle).max())
         if rec["oracle_err_inf"] > 100 * inst.config.tol:
             _finding(findings, rec, "fixed-point-mismatch", oracle_err_inf=rec["oracle_err_inf"])
@@ -481,7 +480,6 @@ def _projected_fields(inst, t, rec, findings, proj: EvaluationResult, certificat
 
 def _evaluate_record(inst, t, rec, findings):
     config = inst.config
-    U = inst.basis(t.K)
     proj, certificate = _projected_run(inst, t.K, t.alpha)
     exact = inst.exact(t.alpha)
     rec["final_residual"] = float(proj.trace.residuals_inf[-1]) if proj.trace.k_final else 0.0
@@ -490,6 +488,7 @@ def _evaluate_record(inst, t, rec, findings):
     _projected_fields(inst, t, rec, findings, proj, certificate)
     rec["approx_err_inf"] = rec["approx_rel_inf"] = None
     if proj.trace.status is RunStatus.CONVERGED:
+        U = inst.compressed(t.K).basis
         err = approximation_error(exact.v_fixed, reconstruct(U, proj.v_fixed))
         rec["approx_err_inf"] = err.err_inf
         rec["approx_rel_inf"] = err.rel_inf
@@ -500,7 +499,6 @@ def _evaluate_record(inst, t, rec, findings):
 
 def _compare_rates_record(inst, t, rec, findings):
     config = inst.config
-    inst.basis(t.K)
     rho_A = inst.compressed(t.K).rho
     # rho(P) before any iteration: past the dense limit it raises
     # MatrixTooLargeError

@@ -83,11 +83,9 @@ NORM_KINDS = ("two_norm", "inf_norm")
 
 
 def square_matrix(M) -> np.ndarray:
-    """Coerce StochasticMatrix / CompressedOperator / array to a square float array."""
+    """Coerce a StochasticMatrix or an array to a square float array."""
     if isinstance(M, StochasticMatrix):
         M = M.entries
-    elif isinstance(M, CompressedOperator):
-        M = M.A
     out = np.ascontiguousarray(M, dtype=np.float64)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {out.shape}")
@@ -154,28 +152,25 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class CompressedOperator:
-    """K x K compression U^T P U of an n x n operator onto span(U).
+    """K x K compression U^T P U of an n x n operator onto span(U), with
+    the basis U it was formed from.
 
     rho, its spectral radius, is computed on first use and kept; a failed
     eigensolve is not kept, so the next use tries again.
     """
 
     A: np.ndarray
-    basis: OrthonormalBasis | None = None
+    basis: OrthonormalBasis
 
     def __post_init__(self):
         A = _frozen_array(self.A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise NonSquareError(f"compressed operator must be square, got {A.shape}")
-        if self.basis is not None and self.basis.K != A.shape[0]:
+        if self.basis.K != A.shape[0]:
             raise DimensionMismatchError(
                 f"basis has K={self.basis.K} columns, compressed operator is {A.shape}"
             )
         object.__setattr__(self, "A", A)
-
-    @property
-    def K(self) -> int:
-        return self.A.shape[0]
 
     @cached_property
     def rho(self) -> float:

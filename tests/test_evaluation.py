@@ -61,7 +61,7 @@ def _trace(n, **kw):
     "make, given",
     [
         (lambda a: OrthonormalBasis(a).U, np.eye(4)[:, :2].copy()),
-        (lambda a: CompressedOperator(a).A, 0.5 * np.eye(3)),
+        (lambda a: CompressedOperator(a, OrthonormalBasis(np.eye(3))).A, 0.5 * np.eye(3)),
         (lambda a: gelfand_sequence(a, 3), 0.5 * np.eye(3)),
         (lambda a: IterationTrace(a, np.ones(3), 3, RunStatus.CONVERGED).residuals_inf, np.ones(3)),
         (lambda a: IterationTrace(np.ones(3), a, 3, RunStatus.CONVERGED).residuals_2, np.ones(3)),
@@ -189,11 +189,6 @@ class TestProjectedVi:
         projected_vi(chain, op, 0.9)
         projected_vi(chain, op.basis, 0.9)
         assert calls == [] and "rho" not in vars(op)
-
-    def test_compressed_operator_needs_its_basis(self):
-        chain = random_chain(2, 6)
-        with pytest.raises(InvalidParameterError):
-            projected_vi(chain, CompressedOperator(chain.P.entries), 0.5)
 
     def test_fixed_point_property(self):
         chain = walk_chain(30, 9)

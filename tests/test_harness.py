@@ -775,6 +775,16 @@ class TestCli:
         assert cli_main(["evaluate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "0.5"), ("--k", "3"), ("--tol", "1")])
+    def test_generate_rejects_sweep_flags(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mdp_source": {"generator": "random", "n": 5, "m": 1}}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["generate", "--config", str(cfg), flag, value, "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("command", ["check-compression", "generate"])
     @pytest.mark.parametrize(
         "source, extra",
