@@ -50,7 +50,6 @@ from .spectral import (
 from .evaluation import (
     ApproximationError,
     EvaluationResult,
-    IterationTrace,
     RunStatus,
     approximation_error,
     direct_solve,

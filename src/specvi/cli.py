@@ -27,6 +27,8 @@ def _load_config(path) -> dict:
             data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text") from exc
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecviError, OSError, json.JSONDecodeError) as exc:
+    except (SpecviError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,8 @@ from .errors import (
 )
 from .kernels import RunStatus
 from .mdp import InducedChain, _frozen_array, as_discount
-from .spectral import CompressedOperator, OrthonormalBasis, compress
+from .spectral import CompressedOperator, OrthonormalBasis
+from .spectral import compress  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 DEFAULT_TOL = 1e-10
@@ -39,9 +40,11 @@ ITERATE_STORAGE_CAP = 1000
 
 
 @dataclass(frozen=True)
-class IterationTrace:
-    """Per-step residuals (and optionally the iterates) of one run."""
+class EvaluationResult:
+    """One run: the fixed-point estimate, the per-step residuals, the
+    steps run, how the run ended and, if asked for, the iterates."""
 
+    v_fixed: np.ndarray
     residuals_inf: np.ndarray
     residuals_2: np.ndarray
     k_final: int
@@ -49,21 +52,10 @@ class IterationTrace:
     iterates: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("residuals_inf", "residuals_2"):
+        for name in ("v_fixed", "residuals_inf", "residuals_2"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         if self.iterates is not None:
             object.__setattr__(self, "iterates", _frozen_array(self.iterates))
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Fixed-point estimate plus its trace."""
-
-    v_fixed: np.ndarray
-    trace: IterationTrace
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_fixed", _frozen_array(self.v_fixed))
 
 
 def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
@@ -72,11 +64,12 @@ def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
     cap = min(max_iter, ITERATE_STORAGE_CAP) if store_iterates else 0
-    # the kernel returns v, then IterationTrace's fields in order
-    v, *run = kernels.affine_iteration(
-        A, b, float(alpha), float(tol), int(max_iter), kernels.DIVERGENCE_GUARD, cap
+    # the kernel returns EvaluationResult's fields in order
+    return EvaluationResult(
+        *kernels.affine_iteration(
+            A, b, float(alpha), float(tol), int(max_iter), kernels.DIVERGENCE_GUARD, cap
+        )
     )
-    return EvaluationResult(v_fixed=v, trace=IterationTrace(*run))
 
 
 def exact_vi(
@@ -97,39 +90,33 @@ def exact_vi(
 
 def projected_vi(
     chain: InducedChain,
-    U: OrthonormalBasis | CompressedOperator,
+    op: CompressedOperator,
     alpha,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     store_iterates: bool = False,
 ) -> EvaluationResult:
-    """Projected value iteration in the K-dimensional subspace spanned by U.
+    """Projected value iteration on the compression op = compress(chain.P, U).
 
-    A = U^T P U and b = U^T c are formed once, then the affine loop runs
-    until tol, max_iter, or the divergence guard (inf norm above 1e12).
-    U may also be the compression U^T P U of chain.P, as compress returns
-    it; its .basis is then U, and A is not formed again. Divergence is
-    reported as a status, not an exception: it is evidence that
-    alpha*rho(U^T P U) >= 1 for this instance.
+    b = U^T c is formed once from op.basis, then the affine loop on op.A
+    runs until tol, max_iter, or the divergence guard (inf norm above
+    1e12). Divergence is reported as a status, not an exception: it is
+    evidence that alpha*rho(U^T P U) >= 1 for this instance.
     """
-    op = None
-    if isinstance(U, CompressedOperator):
-        op, U = U, U.basis
+    U = op.basis
     if U.n != chain.n:
         raise DimensionMismatchError(
             f"basis rows {U.n} do not match chain size {chain.n}"
         )
     a = as_discount(alpha)
-    if op is None:
-        op = compress(chain.P, U)
     b = U.U.T @ chain.c
     return _run_affine(op.A, b, a, tol, max_iter, store_iterates)
 
 
 def _operands(A, b):
-    """A (an array or a CompressedOperator) and the vector b as C-order
-    float64 copies; A must be square and of b's length."""
-    M = _frozen_array(A.A if isinstance(A, CompressedOperator) else A)
+    """A and the vector b as C-order float64 copies; A must be square and
+    of b's length."""
+    M = _frozen_array(A)
     vec = _frozen_array(b)
     if M.ndim != 2 or vec.ndim != 1 or M.shape[0] != M.shape[1] or M.shape[0] != vec.shape[0]:
         raise DimensionMismatchError(
@@ -139,7 +126,8 @@ def _operands(A, b):
 
 
 def series_eval(A, b, alpha, k: int) -> np.ndarray:
-    """Partial sum sum_{i=0}^{k} alpha^i A^i b via Horner accumulation.
+    """Partial sum sum_{i=0}^{k} alpha^i A^i b via Horner accumulation,
+    for an array A (of a compression, pass op.A).
 
     Never forms explicit matrix powers: each sweep applies the same
     x <- b + alpha*(A x) update as the iteration, which keeps the
@@ -159,7 +147,8 @@ def series_eval(A, b, alpha, k: int) -> np.ndarray:
 
 
 def direct_solve(A, b, alpha) -> np.ndarray:
-    """Fixed-point oracle: solve (I - alpha*A) x = b by dense LU.
+    """Fixed-point oracle: solve (I - alpha*A) x = b by dense LU, for an
+    array A (of a compression, pass op.A).
 
     Backward-stable partial pivoting keeps the residual
     ||(I - alpha*A)x - b||_inf below ~1e-10*(1 + ||b||_inf) for the
@@ -209,7 +198,7 @@ def approximation_error(v_exact, v_lifted) -> ApproximationError:
     return ApproximationError(err_inf=err_inf, err_2=err_2, rel_inf=err_inf / denom)
 
 
-def rate_estimate(trace: IterationTrace, window: int) -> float:
+def rate_estimate(result: EvaluationResult, window: int) -> float:
     """Empirical asymptotic rate: geometric mean of successive residual
     ratios over the final `window` steps (it telescopes to
     (r[-1]/r[-1-window])^(1/window)).
@@ -218,7 +207,7 @@ def rate_estimate(trace: IterationTrace, window: int) -> float:
     """
     if window < 2:
         raise InvalidParameterError("window must be >= 2")
-    res = np.asarray(trace.residuals_inf, dtype=np.float64)
+    res = np.asarray(result.residuals_inf, dtype=np.float64)
     if res.shape[0] < window + 1:
         raise InsufficientTraceError(
             f"need at least {window + 1} residuals, trace has {res.shape[0]}"

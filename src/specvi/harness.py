@@ -243,8 +243,7 @@ class ExperimentReport:
 
 def emit_trace_csv(result: EvaluationResult, path) -> None:
     """Write "k,residual_inf,residual_2" rows, one per iteration, 17 digits."""
-    trace = result.trace
-    rows = zip(range(1, trace.k_final + 1), trace.residuals_inf.tolist(), trace.residuals_2.tolist())
+    rows = zip(range(1, result.k_final + 1), result.residuals_inf.tolist(), result.residuals_2.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,residual_inf,residual_2\r\n")
         # streamed: the text of a long trace is never held whole
@@ -462,13 +461,13 @@ def _projected_run(inst, K, alpha) -> tuple[EvaluationResult, dict | None]:
 def _projected_fields(inst, t, rec, findings, proj: EvaluationResult, certificate) -> None:
     """Status, certificate and LU-oracle check of a projected run, with its
     fixed-point-mismatch and diverged findings."""
-    status = proj.trace.status
+    status = proj.status
     rec["status"] = status.value
-    rec["k_final"] = proj.trace.k_final
+    rec["k_final"] = proj.k_final
     rec["certificate"] = certificate
     if status is RunStatus.CONVERGED:
         op = inst.compressed(t.K)
-        oracle = direct_solve(op, op.basis.U.T @ inst.chain.c, t.alpha)
+        oracle = direct_solve(op.A, op.basis.U.T @ inst.chain.c, t.alpha)
         rec["oracle_err_inf"] = float(np.abs(proj.v_fixed - oracle).max())
         if rec["oracle_err_inf"] > 100 * inst.config.tol:
             _finding(findings, rec, "fixed-point-mismatch", oracle_err_inf=rec["oracle_err_inf"])
@@ -482,12 +481,12 @@ def _evaluate_record(inst, t, rec, findings):
     config = inst.config
     proj, certificate = _projected_run(inst, t.K, t.alpha)
     exact = inst.exact(t.alpha)
-    rec["final_residual"] = float(proj.trace.residuals_inf[-1]) if proj.trace.k_final else 0.0
-    rec["exact_status"] = exact.trace.status.value
-    rec["exact_k_final"] = exact.trace.k_final
+    rec["final_residual"] = float(proj.residuals_inf[-1]) if proj.k_final else 0.0
+    rec["exact_status"] = exact.status.value
+    rec["exact_k_final"] = exact.k_final
     _projected_fields(inst, t, rec, findings, proj, certificate)
     rec["approx_err_inf"] = rec["approx_rel_inf"] = None
-    if proj.trace.status is RunStatus.CONVERGED:
+    if proj.status is RunStatus.CONVERGED:
         U = inst.compressed(t.K).basis
         err = approximation_error(exact.v_fixed, reconstruct(U, proj.v_fixed))
         rec["approx_err_inf"] = err.err_inf
@@ -505,8 +504,8 @@ def _compare_rates_record(inst, t, rec, findings):
     rho_P = inst.rho_P
     exact = inst.exact(t.alpha)
     proj, _ = _projected_run(inst, t.K, t.alpha)
-    r_exact = rate_estimate(exact.trace, config.rate_window)
-    r_proj = rate_estimate(proj.trace, config.rate_window)
+    r_exact = rate_estimate(exact, config.rate_window)
+    r_proj = rate_estimate(proj, config.rate_window)
     rec["rho_P"] = rho_P
     rec["rho_A"] = rho_A
     rec["exact_rate"] = {"empirical": r_exact, "predicted": t.alpha * rho_P}

@@ -331,16 +331,17 @@ def read_matrix(path) -> np.ndarray:
         raise ParseError(f"{path}: negative dimensions in header")
     if len(lines) - 1 != rows:
         raise ParseError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
-    out = np.empty((rows, cols))
+    # rows are parsed one by one, so the header alone never sizes an array
+    out = []
     for r, ln in enumerate(lines[1:]):
         parts = ln.split()
         if len(parts) != cols:
             raise ParseError(f"{path}: row {r} has {len(parts)} entries, expected {cols}")
         try:
-            out[r, :] = [float(p) for p in parts]
+            out.append(np.array([float(p) for p in parts]))
         except ValueError as exc:
             raise ParseError(f"{path}: row {r} holds a non-numeric token") from exc
-    return out
+    return np.array(out, dtype=np.float64).reshape(rows, cols)
 
 
 # --- MDP container format ----------------------------------------------------
@@ -367,7 +368,7 @@ def read_mdp(directory) -> Mdp:
             meta = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{meta_path}: not UTF-8 text") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ParseError(f"{meta_path}: invalid JSON") from exc
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path}: meta.json must hold a JSON object")

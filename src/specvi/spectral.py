@@ -341,7 +341,8 @@ def build_basis(
     memo, if given, is a dict the caller keeps for this one P: the first
     schur_dominant call stores the Schur form in it, sorted only as far as
     the largest K asked so far, and later calls for other K reuse it,
-    extending the sort when K is larger. Without a memo the sort stops at K.
+    extending the sort when K is larger. Without one, the call keeps a
+    fresh dict of its own and the sort stops at K.
     """
     M = square_matrix(P)
     n = M.shape[0]
@@ -364,16 +365,14 @@ def build_basis(
             raise EigenFailureError("SVD did not converge") from exc
         U = left[:, :K]
     else:  # schur_dominant
-        schur = memo.get("schur") if memo is not None else None
+        memo = {} if memo is None else memo
+        schur = memo.get("schur")
         if schur is None:
-            schur = _SchurSort(M)
-            if memo is not None:
-                memo["schur"] = schur
+            schur = memo["schur"] = _SchurSort(M)
         try:
             schur.sort_to(K)
         except EigenFailureError:
-            if memo is not None:
-                del memo["schur"]  # a failed sort is not reused
+            del memo["schur"]  # a failed sort is not reused
             raise
         if K < n and abs(schur.T[K, K - 1]) > schur.subdiag_tol:
             raise SplitConjugatePairError(

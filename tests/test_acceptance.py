@@ -64,16 +64,16 @@ def test_criterion_1_partial_sum_identity():
         for K in sorted({1, max(1, n // 4), n}):
             for alpha in (0.3, 0.9, 0.99):
                 U = build_basis(chain.P, K, strategy=strategy, seed=idx)
+                op = compress(chain.P, U)
                 res = projected_vi(
-                    chain, U, alpha, tol=1e-300, max_iter=51, store_iterates=True
+                    chain, op, alpha, tol=1e-300, max_iter=51, store_iterates=True
                 )
-                A = compress(chain.P, U)
                 b = U.U.T @ chain.c
-                k_last = res.trace.k_final
+                k_last = res.k_final
                 for k in range(51):
-                    s = series_eval(A, b, alpha, k)
+                    s = series_eval(op.A, b, alpha, k)
                     v = (
-                        res.trace.iterates[k + 1]
+                        res.iterates[k + 1]
                         if k + 1 <= k_last
                         else res.v_fixed  # run froze at its exact fixed point
                     )
@@ -91,14 +91,14 @@ def test_criterion_2_convergence_large_alpha_certified():
         chain = _chain_of(make_symmetric_walk(n, 0.2, seed=1000 + idx))
         K = max(1, n // 5)
         U = build_basis(chain.P, K, strategy="schur_dominant")
-        A = compress(chain.P, U)
+        op = compress(chain.P, U)
         b = U.U.T @ chain.c
         for alpha in (0.9, 0.95, 0.99):
-            res = projected_vi(chain, U, alpha, tol=1e-10, max_iter=100000)
-            if res.trace.status is not RunStatus.CONVERGED:
+            res = projected_vi(chain, op, alpha, tol=1e-10, max_iter=100000)
+            if res.status is not RunStatus.CONVERGED:
                 ok = False
                 continue
-            oracle = direct_solve(A, b, alpha)
+            oracle = direct_solve(op.A, b, alpha)
             if np.abs(res.v_fixed - oracle).max() > 1e-8:
                 ok = False
     _verdict(2, "convergence for large alpha", ok)
@@ -114,12 +114,12 @@ def test_criterion_3_full_dimension_reduction():
             mdp = make_symmetric_walk(5 + 2 * idx, 0.2, seed=3000 + idx)
         chain = _chain_of(mdp)
         U = build_basis(chain.P, chain.n, strategy="coordinate")
-        proj = projected_vi(chain, U, 0.9, tol=1e-10, store_iterates=True)
+        proj = projected_vi(chain, compress(chain.P, U), 0.9, tol=1e-10, store_iterates=True)
         exact = exact_vi(chain, 0.9, tol=1e-10, store_iterates=True)
-        if proj.trace.k_final != exact.trace.k_final:
+        if proj.k_final != exact.k_final:
             ok = False
             continue
-        if np.abs(proj.trace.iterates - exact.trace.iterates).max() > 1e-13:
+        if np.abs(proj.iterates - exact.iterates).max() > 1e-13:
             ok = False
     _verdict(3, "K=n reduction", ok)
 
@@ -132,12 +132,12 @@ def test_criterion_4_rate_equivalence():
         chain = _chain_of(make_symmetric_walk(40, 0.2, seed=4000 + idx))
         rho_P = spectral_radius(chain.P)
         U = build_basis(chain.P, 8, strategy="schur_dominant")
-        A = compress(chain.P, U)
-        rho_A = spectral_radius(A.A)
+        op = compress(chain.P, U)
+        rho_A = spectral_radius(op.A)
         exact = exact_vi(chain, alpha, tol=1e-10)
-        proj = projected_vi(chain, U, alpha, tol=1e-10)
-        r_e = rate_estimate(exact.trace, 20)
-        r_p = rate_estimate(proj.trace, 20)
+        proj = projected_vi(chain, op, alpha, tol=1e-10)
+        r_e = rate_estimate(exact, 20)
+        r_p = rate_estimate(proj, 20)
         for rate, predicted in ((r_e, alpha * rho_P), (r_p, alpha * rho_A)):
             if abs(rate / predicted - 1.0) > 0.02:
                 ok = False
@@ -315,8 +315,8 @@ def test_criterion_9_cli_io_round_trips(tmp_path):
     emit_trace_csv(res, tmp_path / "trace.csv")
     inf, two = read_trace_csv(tmp_path / "trace.csv")
     if not (
-        np.array_equal(inf, res.trace.residuals_inf)
-        and np.array_equal(two, res.trace.residuals_2)
+        np.array_equal(inf, res.residuals_inf)
+        and np.array_equal(two, res.residuals_2)
     ):
         ok = False
     _verdict(9, "CLI/IO round-trips", ok)

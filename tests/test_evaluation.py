@@ -15,7 +15,6 @@ from specvi.errors import (
 )
 from specvi.evaluation import (
     EvaluationResult,
-    IterationTrace,
     RunStatus,
     approximation_error,
     direct_solve,
@@ -53,8 +52,8 @@ def random_chain(n, seed, m=2):
     return induce_chain(mdp, Policy(np.zeros(n, dtype=int)))
 
 
-def _trace(n, **kw):
-    return IterationTrace(np.ones(n), np.ones(n), n, RunStatus.CONVERGED, **kw)
+def _result(v=np.ones(1), inf=np.ones(3), two=np.ones(3), iterates=None):
+    return EvaluationResult(v, inf, two, 3, RunStatus.CONVERGED, iterates)
 
 
 @pytest.mark.parametrize(
@@ -63,10 +62,10 @@ def _trace(n, **kw):
         (lambda a: OrthonormalBasis(a).U, np.eye(4)[:, :2].copy()),
         (lambda a: CompressedOperator(a, OrthonormalBasis(np.eye(3))).A, 0.5 * np.eye(3)),
         (lambda a: gelfand_sequence(a, 3), 0.5 * np.eye(3)),
-        (lambda a: IterationTrace(a, np.ones(3), 3, RunStatus.CONVERGED).residuals_inf, np.ones(3)),
-        (lambda a: IterationTrace(np.ones(3), a, 3, RunStatus.CONVERGED).residuals_2, np.ones(3)),
-        (lambda a: _trace(1, iterates=a).iterates, np.ones((2, 3))),
-        (lambda a: EvaluationResult(a, _trace(1)).v_fixed, np.ones(3)),
+        (lambda a: _result(inf=a).residuals_inf, np.ones(3)),
+        (lambda a: _result(two=a).residuals_2, np.ones(3)),
+        (lambda a: _result(iterates=a).iterates, np.ones((2, 3))),
+        (lambda a: _result(v=a).v_fixed, np.ones(3)),
     ],
     ids=["basis", "compression", "gelfand", "residuals_inf", "residuals_2", "iterates", "v_fixed"],
 )
@@ -82,7 +81,7 @@ class TestExactVi:
     def test_identity_chain(self):
         chain = InducedChain(StochasticMatrix(np.eye(3)), np.ones(3))
         res = exact_vi(chain, 0.9, tol=1e-10)
-        assert res.trace.status is RunStatus.CONVERGED
+        assert res.status is RunStatus.CONVERGED
         assert np.abs(res.v_fixed - 10.0).max() <= 10 * 1e-10
 
     def test_two_state_fixed_point(self):
@@ -97,19 +96,19 @@ class TestExactVi:
         chain = random_chain(5, 0)
         res = exact_vi(chain, 0.0)
         assert_array_equal(res.v_fixed, chain.c)
-        assert res.trace.k_final == 2  # one effective step + stop detection
+        assert res.k_final == 2  # one effective step + stop detection
 
     def test_max_iter_status(self):
         chain = random_chain(4, 1)
         res = exact_vi(chain, 0.99, tol=1e-300, max_iter=25)
-        assert res.trace.status is RunStatus.MAX_ITER
-        assert res.trace.k_final == 25
+        assert res.status is RunStatus.MAX_ITER
+        assert res.k_final == 25
 
     def test_geometric_residual_decay(self):
         # ||P||_inf = 1 forces residual ratios <= alpha
         chain = random_chain(10, 2)
         res = exact_vi(chain, 0.9, tol=1e-10, max_iter=10000)
-        r = res.trace.residuals_inf
+        r = res.residuals_inf
         ratios = r[1:20] / r[:19]
         assert np.all(ratios <= 0.9 + 1e-12)
 
@@ -121,31 +120,31 @@ class TestExactVi:
         assert fortran.P.entries.flags.c_contiguous
         want, got = exact_vi(chain, 0.99), exact_vi(fortran, 0.99)
         assert got.v_fixed.tobytes() == want.v_fixed.tobytes()
-        assert got.trace.residuals_2.tobytes() == want.trace.residuals_2.tobytes()
+        assert got.residuals_2.tobytes() == want.residuals_2.tobytes()
 
 
 class TestProjectedVi:
     def test_alpha_zero(self):
         chain = random_chain(6, 3)
         U = build_basis(chain.P, 3, strategy="random_orthonormal", seed=1)
-        res = projected_vi(chain, U, 0.0)
+        res = projected_vi(chain, compress(chain.P, U), 0.0)
         assert_array_equal(res.v_fixed, U.U.T @ chain.c)
 
     def test_identity_basis_reproduces_exact_vi(self):
         chain = random_chain(8, 4)
         U = build_basis(chain.P, 8, strategy="coordinate")
-        proj = projected_vi(chain, U, 0.9, tol=1e-10, store_iterates=True)
+        proj = projected_vi(chain, compress(chain.P, U), 0.9, tol=1e-10, store_iterates=True)
         exact = exact_vi(chain, 0.9, tol=1e-10, store_iterates=True)
-        assert proj.trace.k_final == exact.trace.k_final
-        assert np.abs(proj.trace.iterates - exact.trace.iterates).max() <= 1e-13
+        assert proj.k_final == exact.k_final
+        assert np.abs(proj.iterates - exact.iterates).max() <= 1e-13
 
     def test_matches_direct_solve_oracle(self):
         chain = walk_chain(40, 7)
         U = build_basis(chain.P, 8, strategy="schur_dominant")
-        res = projected_vi(chain, U, 0.95, tol=1e-10)
-        A = compress(chain.P, U)
-        oracle = direct_solve(A, U.U.T @ chain.c, 0.95)
-        assert res.trace.status is RunStatus.CONVERGED
+        op = compress(chain.P, U)
+        res = projected_vi(chain, op, 0.95, tol=1e-10)
+        oracle = direct_solve(op.A, U.U.T @ chain.c, 0.95)
+        assert res.status is RunStatus.CONVERGED
         assert np.abs(res.v_fixed - oracle).max() <= 1e-8
 
     def test_divergence_is_status_not_error(self):
@@ -156,29 +155,14 @@ class TestProjectedVi:
         chain = InducedChain(P, np.array([1.0, 1.0]))
         u = np.array([[math.cos(math.pi / 8)], [math.sin(math.pi / 8)]])
         U = OrthonormalBasis(u)
-        res = projected_vi(chain, U, 0.9, tol=1e-10)
-        assert res.trace.status is RunStatus.DIVERGED
+        res = projected_vi(chain, compress(chain.P, U), 0.9, tol=1e-10)
+        assert res.status is RunStatus.DIVERGED
 
     def test_dimension_mismatch(self):
         chain = random_chain(5, 6)
         U = build_basis(np.eye(4), 2, strategy="coordinate")
         with pytest.raises(DimensionMismatchError):
-            projected_vi(chain, U, 0.5)
-        with pytest.raises(DimensionMismatchError):
             projected_vi(chain, compress(np.eye(4), U), 0.5)
-
-    @pytest.mark.parametrize("alpha", [0.5, 0.99])
-    def test_compressed_operator_matches_basis(self, alpha):
-        chain = random_chain(30, 2)
-        U = build_basis(chain.P, 5, strategy="random_orthonormal", seed=3)
-        from_basis = projected_vi(chain, U, alpha, tol=1e-10)
-        from_op = projected_vi(chain, compress(chain.P, U), alpha, tol=1e-10)
-        assert from_op.v_fixed.tobytes() == from_basis.v_fixed.tobytes()
-        for name in ("residuals_inf", "residuals_2"):
-            got, want = getattr(from_op.trace, name), getattr(from_basis.trace, name)
-            assert got.tobytes() == want.tobytes()
-        assert from_op.trace.k_final == from_basis.trace.k_final
-        assert from_op.trace.status is from_basis.trace.status
 
     def test_solves_for_no_rho(self, monkeypatch):
         # the certificate is the harness's: projected_vi only iterates
@@ -187,15 +171,15 @@ class TestProjectedVi:
         chain = random_chain(30, 2)
         op = compress(chain.P, build_basis(chain.P, 5, strategy="random_orthonormal", seed=3))
         projected_vi(chain, op, 0.9)
-        projected_vi(chain, op.basis, 0.9)
         assert calls == [] and "rho" not in vars(op)
 
     def test_fixed_point_property(self):
         chain = walk_chain(30, 9)
         U = build_basis(chain.P, 6, strategy="schur_dominant")
         tol = 1e-10
-        res = projected_vi(chain, U, 0.9, tol=tol)
-        A = compress(chain.P, U).A
+        op = compress(chain.P, U)
+        res = projected_vi(chain, op, 0.9, tol=tol)
+        A = op.A
         b = U.U.T @ chain.c
         gap = np.abs(res.v_fixed - (b + 0.9 * (A @ res.v_fixed))).max()
         assert gap <= 10 * tol
@@ -205,21 +189,22 @@ class TestProjectedVi:
         chain = walk_chain(25, 11)
         U = build_basis(chain.P, 5, strategy="schur_dominant")
         tol = 1e-10
-        res = projected_vi(chain, U, 0.95, tol=tol)
-        ar = 0.95 * compress(chain.P, U).rho
-        assert res.trace.status is RunStatus.CONVERGED
+        op = compress(chain.P, U)
+        res = projected_vi(chain, op, 0.95, tol=tol)
+        ar = 0.95 * op.rho
+        assert res.status is RunStatus.CONVERGED
         b_norm = np.abs(U.U.T @ chain.c).max()
         bound = math.ceil(math.log(tol * (1 - ar) / b_norm) / math.log(ar)) + 10
-        assert res.trace.k_final <= bound
+        assert res.k_final <= bound
 
     def test_monotone_tolerance(self):
         chain = walk_chain(20, 13)
         U = build_basis(chain.P, 4, strategy="schur_dominant")
-        A = compress(chain.P, U)
-        oracle = direct_solve(A, U.U.T @ chain.c, 0.9)
+        op = compress(chain.P, U)
+        oracle = direct_solve(op.A, U.U.T @ chain.c, 0.9)
         errs = []
         for tol in (1e-6, 5e-7, 2.5e-7, 1.25e-7, 1e-10):
-            res = projected_vi(chain, U, 0.9, tol=tol)
+            res = projected_vi(chain, op, 0.9, tol=tol)
             errs.append(np.abs(res.v_fixed - oracle).max())
         assert all(errs[i + 1] <= errs[i] + 1e-15 for i in range(len(errs) - 1))
 
@@ -237,11 +222,11 @@ class TestSeriesEval:
         # rho(A) = 1 here, so the run cannot stop before 26 steps
         chain = walk_chain(12, 8)
         U = build_basis(chain.P, 5, strategy="schur_dominant")
-        res = projected_vi(chain, U, 0.9, tol=1e-300, max_iter=26, store_iterates=True)
-        A = compress(chain.P, U)
+        op = compress(chain.P, U)
+        res = projected_vi(chain, op, 0.9, tol=1e-300, max_iter=26, store_iterates=True)
         b = U.U.T @ chain.c
-        out = series_eval(A, b, 0.9, 25)
-        v26 = res.trace.iterates[26]
+        out = series_eval(op.A, b, 0.9, 25)
+        v26 = res.iterates[26]
         assert np.abs(out - v26).max() <= 1e-12 * (1 + np.abs(v26).max())
 
     def test_overflow_guard(self):
@@ -333,7 +318,7 @@ class TestApproximationError:
         tol = 1e-10
         exact = exact_vi(chain, 0.9, tol=tol)
         U = build_basis(chain.P, 10, strategy="coordinate")
-        proj = projected_vi(chain, U, 0.9, tol=tol)
+        proj = projected_vi(chain, compress(chain.P, U), 0.9, tol=tol)
         err = approximation_error(exact.v_fixed, reconstruct(U, proj.v_fixed))
         assert err.err_inf <= 2 * tol
 
@@ -344,7 +329,7 @@ class TestRateEstimate:
         # the cancellation floor that the ratio stays clean
         chain = InducedChain(StochasticMatrix(np.eye(3)), np.ones(3))
         res = exact_vi(chain, 0.9, tol=1e-6)
-        rate = rate_estimate(res.trace, 20)
+        rate = rate_estimate(res, 20)
         assert type(rate) is float
         assert abs(rate - 0.9) <= 1e-6
 
@@ -352,46 +337,46 @@ class TestRateEstimate:
         chain = walk_chain(40, 17)
         rho = spectral_radius(chain.P)
         res = exact_vi(chain, 0.95, tol=1e-10)
-        rate = rate_estimate(res.trace, 20)
+        rate = rate_estimate(res, 20)
         assert abs(rate / (0.95 * rho) - 1.0) <= 0.02
 
     def test_projected_rate_tracks_alpha_rho_A(self):
         chain = walk_chain(40, 17)
         U = build_basis(chain.P, 8, strategy="schur_dominant")
-        A = compress(chain.P, U)
-        rho_A = spectral_radius(A.A)
-        res = projected_vi(chain, U, 0.95, tol=1e-10)
-        rate = rate_estimate(res.trace, 20)
+        op = compress(chain.P, U)
+        rho_A = spectral_radius(op.A)
+        res = projected_vi(chain, op, 0.95, tol=1e-10)
+        rate = rate_estimate(res, 20)
         assert abs(rate / (0.95 * rho_A) - 1.0) <= 0.02
 
     def test_insufficient_trace(self):
         chain = random_chain(4, 18)
         res = exact_vi(chain, 0.5, tol=1e-300, max_iter=10)
         with pytest.raises(InsufficientTraceError):
-            rate_estimate(res.trace, 20)
+            rate_estimate(res, 20)
 
     def test_zero_residual(self):
         residuals = np.array([1.0, 0.5, 0.25, 0.125, 0.0625, 0.0])
-        trace = IterationTrace(residuals, residuals, 6, RunStatus.CONVERGED)
+        res = EvaluationResult(np.ones(1), residuals, residuals, 6, RunStatus.CONVERGED)
         with pytest.raises(ZeroResidualError):
-            rate_estimate(trace, 5)
+            rate_estimate(res, 5)
 
     def test_bad_window(self):
-        trace = IterationTrace(np.ones(10), np.ones(10), 10, RunStatus.MAX_ITER)
+        res = EvaluationResult(np.ones(1), np.ones(10), np.ones(10), 10, RunStatus.MAX_ITER)
         with pytest.raises(InvalidParameterError):
-            rate_estimate(trace, 1)
+            rate_estimate(res, 1)
 
 
 class TestIterationIdentities:
     def test_partial_sum_identity(self):
         chain = walk_chain(30, 21)
         U = build_basis(chain.P, 7, strategy="schur_dominant")
-        res = projected_vi(chain, U, 0.95, tol=1e-300, max_iter=51, store_iterates=True)
-        A = compress(chain.P, U)
+        op = compress(chain.P, U)
+        res = projected_vi(chain, op, 0.95, tol=1e-300, max_iter=51, store_iterates=True)
         b = U.U.T @ chain.c
         for k in range(0, 51, 5):
-            s = series_eval(A, b, 0.95, k)
-            v = res.trace.iterates[k + 1]
+            s = series_eval(op.A, b, 0.95, k)
+            v = res.iterates[k + 1]
             assert np.abs(v - s).max() <= 1e-12 * (1 + np.abs(v).max())
 
     def test_square_orthogonal_conjugation(self):
@@ -399,14 +384,15 @@ class TestIterationIdentities:
         # is comfortable over 100 steps at this scale
         chain = walk_chain(30, 23)
         U = build_basis(chain.P, 30, strategy="random_orthonormal", seed=6)
-        proj = projected_vi(chain, U, 0.9, tol=1e-300, max_iter=100, store_iterates=True)
+        op = compress(chain.P, U)
+        proj = projected_vi(chain, op, 0.9, tol=1e-300, max_iter=100, store_iterates=True)
         exact = exact_vi(chain, 0.9, tol=1e-300, max_iter=100, store_iterates=True)
         for k in range(101):
-            dev = np.abs(proj.trace.iterates[k] - U.U.T @ exact.trace.iterates[k]).max()
+            dev = np.abs(proj.iterates[k] - U.U.T @ exact.iterates[k]).max()
             assert dev <= 1e-11
 
     def test_iterates_not_stored_by_default(self):
         chain = random_chain(5, 24)
         res = exact_vi(chain, 0.5)
-        assert res.trace.iterates is None
-        assert len(res.trace.residuals_inf) == res.trace.k_final
+        assert res.iterates is None
+        assert len(res.residuals_inf) == res.k_final

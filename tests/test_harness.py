@@ -9,7 +9,7 @@ from numpy.testing import assert_array_equal
 from specvi import evaluation, harness, spectral
 from specvi.cli import main as cli_main
 from specvi.errors import ConfigError, EigenFailureError
-from specvi.evaluation import EvaluationResult, IterationTrace, RunStatus, exact_vi
+from specvi.evaluation import EvaluationResult, RunStatus, exact_vi
 from specvi.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -612,8 +612,9 @@ HEADER = b"k,residual_inf,residual_2\r\n"
 class TestTraceCsv:
     def _result(self, n_steps):
         residuals = 0.5 ** np.arange(1, n_steps + 1)
-        trace = IterationTrace(residuals, residuals / 2.0, n_steps, RunStatus.CONVERGED)
-        return EvaluationResult(np.zeros(2), trace)
+        return EvaluationResult(
+            np.zeros(2), residuals, residuals / 2.0, n_steps, RunStatus.CONVERGED
+        )
 
     def test_three_iterations_four_lines(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -628,8 +629,8 @@ class TestTraceCsv:
         path = tmp_path / "t.csv"
         emit_trace_csv(res, path)
         inf, two = read_trace_csv(path)
-        assert_array_equal(inf, res.trace.residuals_inf)
-        assert_array_equal(two, res.trace.residuals_2)
+        assert_array_equal(inf, res.residuals_inf)
+        assert_array_equal(two, res.residuals_2)
 
     @pytest.mark.parametrize(
         "content",
@@ -643,9 +644,9 @@ class TestTraceCsv:
             read_trace_csv(path)
 
     def test_empty_trace_header_only(self, tmp_path):
-        trace = IterationTrace(np.zeros(0), np.zeros(0), 0, RunStatus.MAX_ITER)
+        res = EvaluationResult(np.zeros(2), np.zeros(0), np.zeros(0), 0, RunStatus.MAX_ITER)
         path = tmp_path / "t.csv"
-        emit_trace_csv(EvaluationResult(np.zeros(2), trace), path)
+        emit_trace_csv(res, path)
         assert path.read_text().strip() == "k,residual_inf,residual_2"
 
 
@@ -720,6 +721,17 @@ class TestCli:
         cfg.write_bytes(b"\xff" + json.dumps({"output_dir": str(tmp_path / "out")}).encode())
         assert cli_main(["evaluate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: config is not UTF-8 text\n"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("{not json", "Expecting"), ('{"seed": ' + "1" * 5000 + "}", "Exceeds the limit")],
+        ids=["syntax", "integer-past-digit-limit"],
+    )
+    def test_invalid_json_config_is_error_line(self, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert cli_main(["evaluate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON ({reason}")
 
     def test_non_utf8_matrix_file_is_error_line(self, tmp_path, capsys):
         mdp_dir = tmp_path / "mdp"

@@ -367,7 +367,6 @@ def test_public_names_are_pinned():
         "InvalidDimensionError",
         "InvalidKError",
         "InvalidParameterError",
-        "IterationTrace",
         "MatrixTooLargeError",
         "Mdp",
         "NegativeEntryError",

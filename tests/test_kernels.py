@@ -421,8 +421,8 @@ class TestNaNIsNotSuccess:
 
     def test_affine_run_reports_divergence(self):
         A = np.array([[0.5, np.nan], [0.0, 0.5]])
-        trace = _run_affine(A, np.ones(2), 0.9, 1e-10, 1000, False).trace
-        assert trace.status is RunStatus.DIVERGED
+        res = _run_affine(A, np.ones(2), 0.9, 1e-10, 1000, False)
+        assert res.status is RunStatus.DIVERGED
 
     def test_series_eval_raises(self):
         A = np.array([[0.5, np.nan], [0.0, 0.5]])

@@ -248,6 +248,8 @@ class TestMatrixIo:
             "1 2\n0.5\n",
             "1 1\nabc\n",
             "x y\n1 2\n",
+            # the header's 2 x 10^12 array would need 14.6 TiB
+            "2 1000000000000\n0.5 0.5\n0.5 0.5\n",
         ],
     )
     def test_parse_errors(self, tmp_path, content):
@@ -300,6 +302,13 @@ class TestMdpIo:
         write_mdp(make_random_mdp(3, 1, seed=0), d)
         (d / "meta.json").write_text("{not json")
         with pytest.raises(ParseError):
+            read_mdp(d)
+
+    def test_meta_integer_past_the_digit_limit_is_parse_error(self, tmp_path):
+        d = tmp_path / "mdp"
+        write_mdp(make_random_mdp(3, 1, seed=0), d)
+        (d / "meta.json").write_text('{"n": 3, "m": 1, "seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ParseError, match="meta.json: invalid JSON"):
             read_mdp(d)
 
     @pytest.mark.parametrize("name", ["meta.json", "T0.mat"])

@@ -681,6 +681,8 @@ class TestSchurMemo:
         with pytest.raises(EigenFailureError, match="trexc info=1"):
             build_basis(P, 20, memo=memo)
         assert memo == {}
+        with pytest.raises(EigenFailureError, match="trexc info=1"):
+            build_basis(P, 20)
 
     def test_memo_gives_the_same_bases_and_errors(self):
         P = chain_matrix(make_random_mdp(30, 2, seed=3))
