@@ -216,15 +216,15 @@ class TestCompareRates:
         for rec in report.records:
             assert rec["rates_match"]
 
-    def test_too_large_P_fails_before_iterating(self, tmp_path, monkeypatch):
+    def test_too_large_compression_fails_before_iterating(self, tmp_path, monkeypatch):
         exact = TestInstanceQuantitiesOnce.count_calls(monkeypatch, harness, "exact_vi")
-        # a limit below n stands in for an n past the real one (2000)
+        # a limit below K stands in for a K past the real one (2000)
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 20)
         cfg = config(
             tmp_path,
             kind="compare_rates",
             mdp_source={"generator": "random", "n": 21, "m": 1},
-            K_list=[4],
+            K_list=[21],
             alpha_list=[0.5],
             basis_strategy="random_orthonormal",
             trials=1,
@@ -235,8 +235,27 @@ class TestCompareRates:
 
 
 class TestCheckCompression:
+    @pytest.mark.parametrize("kind", ["check_compression", "compare_rates"])
+    def test_rho_P_is_the_row_sum_past_the_dense_limit(self, tmp_path, monkeypatch, kind):
+        # a limit below n stands in for an n past the real one (2000)
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 20)
+        cfg = config(
+            tmp_path,
+            kind=kind,
+            mdp_source={"generator": "random", "n": 21, "m": 1},
+            K_list=[4],
+            alpha_list=[0.9],
+            rate_window=2,
+            basis_strategy="random_orthonormal",
+            trials=1,
+        )
+        report = run_experiment(cfg)
+        assert [r["status"] for r in report.records] == ["ok"]
+        P = harness.Instance(cfg, 0).chain.P.entries
+        assert report.records[0]["rho_P"] == spectral.inf_norm(P)
+
     def test_runs_past_n_500(self, tmp_path):
-        # the dense radius covers the documented scope, n <= 2000
+        # check_compression covers the documented scope, n <= 2000
         cfg = config(
             tmp_path,
             kind="check_compression",
@@ -362,10 +381,10 @@ class TestInstanceQuantitiesOnce:
         # per trial: one schur_dominant basis per K; the identity sub-case
         # builds no basis
         assert len(bases) == 2 * 2
-        # per trial: rho(P), then one rho_A per K; the identity's A is P and
-        # reuses rho(P), and the projected runs reuse the instance's
-        # compression, which keeps its rho
-        assert sum(map(len, radii)) == 2 * (1 + 2)
+        # per trial: one rho_A per K; rho(P) is a row-sum pass, the
+        # identity's A is P and reuses it, and the projected runs reuse the
+        # instance's compression, which keeps its rho
+        assert sum(map(len, radii)) == 2 * 2
         # per trial: one compression per K
         assert sum(map(len, compressions)) == 2 * 2
 

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from specvi import harness, spectral
@@ -89,6 +91,33 @@ class TestSpectralRadius:
         rho = spectral_radius(M)
         assert rho <= inf_norm(M) + 1e-10
         assert rho <= two_norm(M) + 1e-10
+
+
+#: A random stochastic P from each source the harness or the tests use,
+#: with n from 1 to 80 (the symmetric walk needs n >= 2).
+STOCHASTIC = st.one_of(
+    st.builds(
+        lambda n, seed: make_random_mdp(n, 1, seed).transitions[0].entries,
+        st.integers(1, 80),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.builds(
+        lambda n, loop, seed: make_symmetric_walk(n, loop, seed).transitions[0].entries,
+        st.integers(2, 80),
+        st.floats(0.0, 0.99),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.builds(random_stochastic, st.integers(1, 80), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(STOCHASTIC)
+def test_row_sum_radius_cannot_flip_a_radius_finding(P):
+    # the harness's rho(P) is ||P||_inf; it is within 1e-12 of the dense
+    # radius, far inside both radius-finding thresholds
+    assert 1e-12 < harness.RADIUS_EXCESS_TOL / 100 < harness.RADIUS_EQUALITY_TOL
+    assert abs(spectral_radius(P) - inf_norm(P)) <= 1e-12
 
 
 @pytest.mark.parametrize(
