@@ -37,7 +37,6 @@ from .mdp import (
 from .spectral import (
     CompressedOperator,
     OrthonormalBasis,
-    VanishingCheck,
     build_basis,
     compress,
     gelfand_finals,

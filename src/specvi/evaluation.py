@@ -35,41 +35,34 @@ from .spectral import spectral_radius  # noqa: F401  (perfbench/tracing.py wraps
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
 
-#: Full iterates are kept only when the run finishes within this many steps.
-ITERATE_STORAGE_CAP = 1000
-
 
 @dataclass(frozen=True)
 class EvaluationResult:
     """One run: the fixed-point estimate, the per-step residuals, the
-    steps run, how the run ended and, if asked for, the iterates."""
+    steps run and how the run ended."""
 
     v_fixed: np.ndarray
     residuals_inf: np.ndarray
     residuals_2: np.ndarray
     k_final: int
     status: RunStatus
-    iterates: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("v_fixed", "residuals_inf", "residuals_2"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        if self.iterates is not None:
-            object.__setattr__(self, "iterates", _frozen_array(self.iterates))
 
 
-def _run_affine(A, b, alpha, tol, max_iter, store_iterates):
+def _run_affine(A, b, alpha, tol, max_iter):
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    cap = min(max_iter, ITERATE_STORAGE_CAP) if store_iterates else 0
-    # the kernel returns EvaluationResult's fields in order
-    return EvaluationResult(
-        *kernels.affine_iteration(
-            A, b, float(alpha), float(tol), int(max_iter), kernels.DIVERGENCE_GUARD, cap
-        )
+    # the kernel returns EvaluationResult's fields in order, then the
+    # iterates, which an iter_cap of 0 leaves uncollected
+    *fields, _ = kernels.affine_iteration(
+        A, b, float(alpha), float(tol), int(max_iter), kernels.DIVERGENCE_GUARD, 0
     )
+    return EvaluationResult(*fields)
 
 
 def exact_vi(
@@ -77,7 +70,6 @@ def exact_vi(
     alpha,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    store_iterates: bool = False,
 ) -> EvaluationResult:
     """Plain value iteration V <- c + alpha*P V from V = 0.
 
@@ -85,7 +77,7 @@ def exact_vi(
     Always converges eventually: alpha*||P||_inf = alpha < 1.
     """
     a = as_discount(alpha)
-    return _run_affine(chain.P.entries, chain.c, a, tol, max_iter, store_iterates)
+    return _run_affine(chain.P.entries, chain.c, a, tol, max_iter)
 
 
 def projected_vi(
@@ -94,7 +86,6 @@ def projected_vi(
     alpha,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    store_iterates: bool = False,
 ) -> EvaluationResult:
     """Projected value iteration on the compression op = compress(chain.P, U).
 
@@ -110,7 +101,7 @@ def projected_vi(
         )
     a = as_discount(alpha)
     b = U.U.T @ chain.c
-    return _run_affine(op.A, b, a, tol, max_iter, store_iterates)
+    return _run_affine(op.A, b, a, tol, max_iter)
 
 
 def _operands(A, b):
@@ -178,24 +169,24 @@ def reconstruct(U: OrthonormalBasis, v_tilde) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ApproximationError:
-    """Difference norms between the exact and the lifted projected solution."""
+    """Absolute and relative infinity-norm error of the lifted projected
+    solution against the exact one."""
 
     err_inf: float
-    err_2: float
     rel_inf: float
 
 
 def approximation_error(v_exact, v_lifted) -> ApproximationError:
-    """Error norms of v_lifted - v_exact; rel_inf uses max(1, ||v_exact||_inf)."""
+    """Infinity-norm error of v_lifted - v_exact; rel_inf divides it by
+    max(1, ||v_exact||_inf)."""
     a = np.asarray(v_exact, dtype=np.float64)
     b = np.asarray(v_lifted, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"length mismatch: {a.shape} vs {b.shape}")
     d = b - a
     err_inf = float(np.abs(d).max()) if d.size else 0.0
-    err_2 = float(np.linalg.norm(d))
     denom = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    return ApproximationError(err_inf=err_inf, err_2=err_2, rel_inf=err_inf / denom)
+    return ApproximationError(err_inf=err_inf, rel_inf=err_inf / denom)
 
 
 def rate_estimate(result: EvaluationResult, window: int) -> float:

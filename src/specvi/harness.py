@@ -279,8 +279,10 @@ _SOURCE_KEYS = {
 }
 
 
-def _make_instance(config: ExperimentConfig, trial: int) -> tuple[Mdp, int]:
-    """Instance for one trial; generator sources use seed + trial."""
+def _make_instance(config: ExperimentConfig, trial: int, first=None) -> tuple[Mdp, int]:
+    """Instance for one trial; generator sources use seed + trial. A path
+    source is read once per batch: later trials reuse the Mdp, which is
+    immutable, of first, the batch's trial-0 Instance."""
     src = config.mdp_source
     instance_seed = config.seed + trial
     if "path" in src:
@@ -298,7 +300,7 @@ def _make_instance(config: ExperimentConfig, trial: int) -> tuple[Mdp, int]:
     if form == "path":
         if not isinstance(src["path"], str):
             raise ConfigError(f"mdp_source path takes a string, got {src['path']!r}")
-        return read_mdp(src["path"]), instance_seed
+        return (read_mdp(src["path"]) if first is None else first.mdp), instance_seed
     n = _int_field("mdp_source n", src.get("n"), 1)
     if form == "random":
         m = _int_field("mdp_source m", src.get("m"), 1)
@@ -372,10 +374,10 @@ class Instance:
     is not cached, so each record that needs it records the error itself.
     """
 
-    def __init__(self, config: ExperimentConfig, trial: int):
+    def __init__(self, config: ExperimentConfig, trial: int, first=None):
         self.config = config
         self.trial = trial
-        self.mdp, self.seed = _make_instance(config, trial)
+        self.mdp, self.seed = _make_instance(config, trial, first)
         _check_K(config, self.mdp.n)
         self.chain = induce_chain(self.mdp, _policy_for(config, self.mdp))
         self._schur_memo = {}
@@ -485,7 +487,7 @@ def _evaluate_record(inst, t, rec, findings):
     config = inst.config
     proj, certificate = _projected_run(inst, t.K, t.alpha)
     exact = inst.exact(t.alpha)
-    rec["final_residual"] = float(proj.residuals_inf[-1]) if proj.k_final else 0.0
+    rec["final_residual"] = float(proj.residuals_inf[-1])
     rec["exact_status"] = exact.status.value
     rec["exact_k_final"] = exact.k_final
     _projected_fields(inst, t, rec, findings, proj, certificate)
@@ -502,10 +504,11 @@ def _evaluate_record(inst, t, rec, findings):
 
 def _compare_rates_record(inst, t, rec, findings):
     config = inst.config
-    rho_A = inst.compressed(t.K).rho
+    op = inst.compressed(t.K)
+    rho_A = op.rho
     rho_P = inst.rho_P
     exact = inst.exact(t.alpha)
-    proj, _ = _projected_run(inst, t.K, t.alpha)
+    proj = projected_vi(inst.chain, op, t.alpha, tol=config.tol, max_iter=config.max_iter)
     r_exact = rate_estimate(exact, config.rate_window)
     r_proj = rate_estimate(proj, config.rate_window)
     rec["rho_P"] = rho_P
@@ -584,11 +587,13 @@ def _proposition_record(inst, t, rec, findings):
     A = inst.compressed(t.K)
     _radius_fields(findings, rec, inst.rho_P, A.rho)
     root = math.sqrt(t.alpha)
-    van = power_vanishing_check(root * A.A, config.vanish_k_max, config.vanish_threshold)
-    rec["power_vanishes"] = van.vanishes
-    rec["vanish_first_k"] = van.first_k
-    if not van.vanishes and root * A.rho < 1.0 - 1e-6:
-        _finding(findings, rec, "power-not-vanishing", final_norm=van.final_norm)
+    vanishes, first_k, final_norm = power_vanishing_check(
+        root * A.A, config.vanish_k_max, config.vanish_threshold
+    )
+    rec["power_vanishes"] = vanishes
+    rec["vanish_first_k"] = first_k
+    if not vanishes and root * A.rho < 1.0 - 1e-6:
+        _finding(findings, rec, "power-not-vanishing", final_norm=final_norm)
     _projected_fields(inst, t, rec, findings, *_projected_run(inst, t.K, t.alpha))
 
 
@@ -703,7 +708,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     first = Instance(config, 0)
     report = _new_report(config)
     for trial in range(config.trials):
-        inst = first if trial == 0 else Instance(config, trial)
+        inst = first if trial == 0 else Instance(config, trial, first)
         for t in kind.targets(inst):
             rec = _base_record(inst, t)
             try:

@@ -177,15 +177,6 @@ class CompressedOperator:
         return spectral_radius(self.A)
 
 
-@dataclass(frozen=True)
-class VanishingCheck:
-    """Outcome of scanning whether A^k falls below a max-norm threshold."""
-
-    vanishes: bool
-    first_k: int | None
-    final_norm: float
-
-
 def spectral_radius(M) -> float:
     """Exact spectral radius max_i |lambda_i(M)| via the dense eigensolver.
 
@@ -553,15 +544,16 @@ def gelfand_finals(A, k_max: int) -> tuple[float, float]:
     )
 
 
-def power_vanishing_check(A, k_max: int, threshold: float) -> VanishingCheck:
+def power_vanishing_check(A, k_max: int, threshold: float) -> tuple[bool, int | None, float]:
     """Does ||A^k||_max fall to the threshold within k_max multiplications?
 
-    Overflow folds into vanishes=False with final_norm=inf (itself
-    evidence that rho > 1).
+    Returns (vanishes, first_k, final_norm): first_k is the first power at
+    or below the threshold, None if none is. Overflow folds into
+    vanishes=False with final_norm=inf (itself evidence that rho > 1).
     """
     M = square_matrix(A)
     if k_max < 1:
         raise InvalidParameterError("k_max must be >= 1")
     if threshold <= 0:
         raise InvalidParameterError("threshold must be positive")
-    return VanishingCheck(*kernels.power_max_norms(M, int(k_max), threshold))
+    return kernels.power_max_norms(M, int(k_max), threshold)

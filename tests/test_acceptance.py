@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from specvi import kernels
 from specvi.cli import main as cli_main
 from specvi.evaluation import (
     RunStatus,
@@ -47,6 +48,18 @@ def _chain_of(mdp):
     return induce_chain(mdp, Policy(np.zeros(mdp.n, dtype=np.int64)))
 
 
+def _kernel_iterates(run, A, b, alpha, tol, max_iter):
+    """The affine kernel's iterates v^(0)..v^(k_final) on the operands
+    exact_vi / projected_vi pass it, or None if the public run did not
+    return the kernel's v_fixed and k_final bit for bit."""
+    v, _, _, k_final, _, iterates = kernels.affine_iteration(
+        A, b, alpha, tol, max_iter, kernels.DIVERGENCE_GUARD, max_iter
+    )
+    if run.v_fixed.tobytes() != v.tobytes() or run.k_final != k_final:
+        return None
+    return iterates
+
+
 def test_criterion_1_partial_sum_identity():
     """Projected iterate v~(k+1) equals the Horner partial sum through i=k."""
     rng = np.random.default_rng(101)
@@ -65,15 +78,17 @@ def test_criterion_1_partial_sum_identity():
             for alpha in (0.3, 0.9, 0.99):
                 U = build_basis(chain.P, K, strategy=strategy, seed=idx)
                 op = compress(chain.P, U)
-                res = projected_vi(
-                    chain, op, alpha, tol=1e-300, max_iter=51, store_iterates=True
-                )
+                res = projected_vi(chain, op, alpha, tol=1e-300, max_iter=51)
                 b = U.U.T @ chain.c
+                iterates = _kernel_iterates(res, op.A, b, alpha, 1e-300, 51)
+                if iterates is None:
+                    ok = False
+                    continue
                 k_last = res.k_final
                 for k in range(51):
                     s = series_eval(op.A, b, alpha, k)
                     v = (
-                        res.iterates[k + 1]
+                        iterates[k + 1]
                         if k + 1 <= k_last
                         else res.v_fixed  # run froze at its exact fixed point
                     )
@@ -114,12 +129,18 @@ def test_criterion_3_full_dimension_reduction():
             mdp = make_symmetric_walk(5 + 2 * idx, 0.2, seed=3000 + idx)
         chain = _chain_of(mdp)
         U = build_basis(chain.P, chain.n, strategy="coordinate")
-        proj = projected_vi(chain, compress(chain.P, U), 0.9, tol=1e-10, store_iterates=True)
-        exact = exact_vi(chain, 0.9, tol=1e-10, store_iterates=True)
+        op = compress(chain.P, U)
+        proj = projected_vi(chain, op, 0.9, tol=1e-10)
+        exact = exact_vi(chain, 0.9, tol=1e-10)
         if proj.k_final != exact.k_final:
             ok = False
             continue
-        if np.abs(proj.iterates - exact.iterates).max() > 1e-13:
+        proj_iterates = _kernel_iterates(proj, op.A, U.U.T @ chain.c, 0.9, 1e-10, 100000)
+        exact_iterates = _kernel_iterates(exact, chain.P.entries, chain.c, 0.9, 1e-10, 100000)
+        if proj_iterates is None or exact_iterates is None:
+            ok = False
+            continue
+        if np.abs(proj_iterates - exact_iterates).max() > 1e-13:
             ok = False
     _verdict(3, "K=n reduction", ok)
 
@@ -190,8 +211,8 @@ def test_criterion_6_power_vanishing_tracks_rho():
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         eigs = np.linspace(0.1, 1.0, n) * rho_t
         M = Q @ np.diag(eigs) @ Q.T
-        out = power_vanishing_check(M, 10000, 1e-12)
-        if out.vanishes != (rho_t < 1.0):
+        vanishes, _, _ = power_vanishing_check(M, 10000, 1e-12)
+        if vanishes != (rho_t < 1.0):
             ok = False
     _verdict(6, "power vanishing iff rho<1", ok)
 

@@ -388,6 +388,22 @@ class TestInstanceQuantitiesOnce:
         # per trial: one compression per K
         assert sum(map(len, compressions)) == 2 * 2
 
+    def test_path_source_is_read_once_per_batch(self, tmp_path, monkeypatch):
+        reads = self.count_calls(monkeypatch, harness, "read_mdp")
+        write_mdp(make_random_mdp(20, 2, seed=5), str(tmp_path / "mdp"))
+        cfg = config(
+            tmp_path,
+            kind="check_compression",
+            mdp_source={"path": str(tmp_path / "mdp")},
+            K_list=[2, 5],
+            basis_strategy="random_orthonormal",
+            trials=3,
+        )
+        report = run_experiment(cfg)
+        assert len(reads) == 1
+        assert report.summary["errors"] == 0
+        assert [r["instance_seed"] for r in report.records] == [0, 0, 1, 1, 2, 2]
+
     def test_exact_vi_once_per_alpha(self, tmp_path, monkeypatch):
         exact = self.count_calls(monkeypatch, harness, "exact_vi")
         cfg = config(

@@ -381,7 +381,6 @@ def test_public_names_are_pinned():
         "SpecviError",
         "SplitConjugatePairError",
         "StochasticMatrix",
-        "VanishingCheck",
         "ZeroResidualError",
         "approximation_error",
         "as_discount",

@@ -521,27 +521,25 @@ class TestScanFreeChain:
 
 class TestPowerVanishing:
     def test_half_identity(self):
-        out = power_vanishing_check(0.5 * np.eye(3), 100, 1e-12)
-        assert out.vanishes and out.first_k == 40
+        assert power_vanishing_check(0.5 * np.eye(3), 100, 1e-12)[:2] == (True, 40)
 
     def test_identity_never(self):
-        out = power_vanishing_check(np.eye(3), 100, 1e-12)
-        assert not out.vanishes and out.first_k is None and out.final_norm == 1.0
+        assert power_vanishing_check(np.eye(3), 100, 1e-12) == (False, None, 1.0)
 
     def test_nilpotent(self):
         out = power_vanishing_check(np.array([[0.0, 1.0], [0.0, 0.0]]), 100, 1e-12)
-        assert out.vanishes and out.first_k == 2
+        assert out[:2] == (True, 2)
 
     def test_overflow_folds_to_false(self):
-        out = power_vanishing_check(10.0 * np.eye(2), 5000, 1e-12)
-        assert not out.vanishes and out.final_norm == np.inf
+        vanishes, _, final_norm = power_vanishing_check(10.0 * np.eye(2), 5000, 1e-12)
+        assert not vanishes and final_norm == np.inf
 
     @pytest.mark.parametrize("rho,expect", [(0.8, True), (0.97, True), (1.05, False), (1.5, False)])
     def test_threshold_tracks_spectral_radius(self, rho, expect):
         eigs = np.linspace(0.1, 1.0, 12) * rho
         M = conjugated_spectrum(eigs, seed=17)
-        out = power_vanishing_check(M, 10000, 1e-12)
-        assert out.vanishes == expect
+        vanishes, _, _ = power_vanishing_check(M, 10000, 1e-12)
+        assert vanishes == expect
 
 
 class TestCompressionRadius:
