@@ -175,6 +175,14 @@ class ExperimentConfig:
             raise ConfigError(f"store_traces must be true or false, got {self.store_traces!r}")
         if self.basis_strategy not in BASIS_STRATEGIES:
             raise ConfigError(f"unknown basis strategy {self.basis_strategy!r}")
+        # only random_orthonormal reads the trial seed; a path source reads none
+        if "path" in self.mdp_source and self.trials > 1 and (
+            self.basis_strategy != "random_orthonormal"
+        ):
+            raise ConfigError(
+                f"trials={self.trials} would repeat one trial: a path source and "
+                f"the {self.basis_strategy!r} basis take no seed; use trials=1"
+            )
         if not isinstance(self.policy, str):
             actions = _list_field("policy", self.policy)
             object.__setattr__(self, "policy", tuple(_int_field("policy", a, 0) for a in actions))
@@ -370,8 +378,10 @@ class Instance:
     carries its basis and keeps its own dense spectral radius
     (CompressedOperator.rho). schur_dominant bases for all K share one
     Schur form, which the first build_basis call stores in the instance's
-    memo, sorted only as far as the largest K asked. A failed computation
-    is not cached, so each record that needs it records the error itself.
+    memo, sorted only as far as the largest K asked; a symmetric P's
+    (every symmetric_walk's) comes from one eigh, fully sorted, with no
+    scipy. A failed computation is not cached, so each record that needs
+    it records the error itself.
     """
 
     def __init__(self, config: ExperimentConfig, trial: int, first=None):

@@ -15,9 +15,10 @@ the k-th computed power within ((1 +- gamma) * row sum of A)^k, and the
 peak lies between the largest row sum / n and the largest row sum. Every
 transition matrix the generators make meets it, past k = 10^14 for n <= 2000.
 
-scipy is used only for the two LAPACK routines of schur_dominant bases,
-dgees and dtrexc, and its extension module scipy.linalg._flapack is
-loaded on the first Schur build, not at import. The loader finds that
+scipy is used only for the two LAPACK routines of schur_dominant bases
+of a non-symmetric P, dgees and dtrexc, and its extension module
+scipy.linalg._flapack is loaded on the first such Schur build, not at
+import; a symmetric P's form comes from numpy's eigh. The loader finds that
 extension by path and runs it alone: `import scipy.linalg` would first run
 the package __init__, whose array-API shim also imports numpy.f2py,
 numpy.testing and numpy.ma (about 0.33 s, more than a small batch takes).
@@ -63,9 +64,8 @@ from .errors import (
 )
 from .mdp import StochasticMatrix, _frozen_array
 
-#: Above this size the dense eigensolver refuses.
-#: It is the documented scope, n <= 2000, where one dense eigvals takes
-#: about 3 s.
+#: Above this size the dense eigensolver refuses. It is the documented
+#: scope, n <= 2000; as rho(P) is a row-sum pass, it limits a compression's K.
 DENSE_EIG_LIMIT = 2000
 
 #: Orthonormality tolerance on ||U^T U - I||_max.
@@ -268,12 +268,12 @@ def _no_sort(x, y=None):
 
 
 def _real_schur(P: np.ndarray):
-    """(T, Z) of scipy.linalg.schur(P, output="real"), with the same LAPACK calls."""
-    a = np.asarray_chkfinite(P)
+    """(T, Z) of scipy.linalg.schur(P, output="real") for a finite P, with
+    the same LAPACK calls (_SchurSort checks P's finiteness, as schur does)."""
     dgees = _flapack().dgees
-    result = dgees(_no_sort, a, lwork=-1)  # workspace query
+    result = dgees(_no_sort, P, lwork=-1)  # workspace query
     lwork = result[-2][0].real.astype(np.int_)
-    result = dgees(_no_sort, a, lwork=lwork, overwrite_a=False, sort_t=0)
+    result = dgees(_no_sort, P, lwork=lwork, overwrite_a=False, sort_t=0)
     info = result[-1]
     if info != 0:
         raise EigenFailureError(f"Schur decomposition failed (gees info={info})")
@@ -284,9 +284,13 @@ class _SchurSort:
     """A real Schur form P = Z T Z^T whose diagonal blocks are being ordered
     by decreasing modulus.
 
-    A selection sort on whole 1x1/2x2 blocks: each pass moves the first
-    block of largest modulus at or after pos to pos with LAPACK's trexc
-    (Bai & Demmel, 1993), in place, so complex pairs stay intact; the
+    A symmetric P's real Schur form is its orthogonal eigendecomposition,
+    with T diagonal (Golub & Van Loan, Matrix Computations, Thm 8.1.1): one
+    eigh, eigenpairs stably sorted by decreasing |lambda|, gives it fully
+    sorted (pos = n). Any other P takes gees, then a selection sort on
+    whole 1x1/2x2 blocks: each pass moves the first block of largest
+    modulus at or after pos to pos with LAPACK's trexc (Bai & Demmel,
+    1993), in place, so complex pairs stay intact; the
     leading columns of Z then span dominant invariant subspaces. A pass at
     pos swaps only blocks at positions >= pos, so the columns of Z before
     pos and T[i + 1, i] for i < pos are final: sort_to(K) runs passes only
@@ -294,21 +298,28 @@ class _SchurSort:
     """
 
     def __init__(self, P: np.ndarray):
-        T, Z = _real_schur(P)
-        self.T = np.asfortranarray(T)
-        self.Z = np.asfortranarray(Z)
+        a = np.asarray_chkfinite(P)
+        # positions before pos hold their final blocks
+        if np.array_equal(a, a.T):
+            try:
+                w, V = np.linalg.eigh(a)
+            except np.linalg.LinAlgError as exc:
+                raise EigenFailureError("symmetric eigensolver did not converge") from exc
+            order = np.argsort(-np.abs(w), kind="stable")
+            self.T, self.Z, self.pos = np.diag(w[order]), V[:, order], a.shape[0]
+        else:
+            T, Z = _real_schur(a)
+            self.T, self.Z, self.pos = np.asfortranarray(T), np.asfortranarray(Z), 0
         # above it, T[i + 1, i] pairs rows i and i + 1 into a complex-pair block
         self.subdiag_tol = 100 * np.finfo(np.float64).eps * max(1.0, inf_norm(P))
-        self.pos = 0  # positions before pos hold their final blocks
 
     def sort_to(self, K: int) -> None:
-        dtrexc = _flapack().dtrexc
         while self.pos < K:
             starts, sizes, moduli = _block_moduli(self.T, self.subdiag_tol, self.pos)
             best = int(np.argmax(moduli))
             best_start = int(starts[best])
             if best_start != self.pos:
-                self.T, self.Z, info = dtrexc(
+                self.T, self.Z, info = _flapack().dtrexc(
                     self.T, self.Z, best_start + 1, self.pos + 1, overwrite_a=1, overwrite_q=1
                 )
                 if info != 0:
@@ -322,18 +333,20 @@ def build_basis(
     """Construct an n x K orthonormal basis by the named strategy.
 
     schur_dominant: first K vectors of the modulus-sorted real Schur form
-    (spanning the dominant invariant subspace); raises SplitConjugatePair
-    when K would cut a 2x2 complex-pair block, that is when T[K, K-1] is
-    above the form's subdiag_tol (LAPACK's standardized form is exactly 0
-    there between blocks). svd_top: top-K left singular vectors.
+    (spanning the dominant invariant subspace), from one eigh for a
+    symmetric P and from gees and trexc for any other; raises
+    SplitConjugatePair when K would cut a 2x2 complex-pair block, that is
+    when T[K, K-1] is above the form's subdiag_tol (LAPACK's standardized
+    form is exactly 0 there between blocks, and a symmetric P's T is
+    diagonal). svd_top: top-K left singular vectors.
     random_orthonormal: thin QR of a seeded Gaussian. coordinate: first K
     standard basis vectors.
 
     memo, if given, is a dict the caller keeps for this one P: the first
     schur_dominant call stores the Schur form in it, sorted only as far as
-    the largest K asked so far, and later calls for other K reuse it,
-    extending the sort when K is larger. Without one, the call keeps a
-    fresh dict of its own and the sort stops at K.
+    the largest K asked so far (a symmetric P's fully), and later calls for
+    other K reuse it, extending the sort when K is larger. Without one, the
+    call keeps a fresh dict of its own and the sort stops at K.
     """
     M = square_matrix(P)
     n = M.shape[0]

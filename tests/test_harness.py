@@ -360,7 +360,8 @@ class TestInstanceQuantitiesOnce:
         return calls
 
     def test_one_sorted_schur_per_trial(self, tmp_path, monkeypatch):
-        schur = self.count_calls(monkeypatch, spectral, "_real_schur")
+        schur = self.count_calls(monkeypatch, spectral, "_SchurSort")
+        gees = self.count_calls(monkeypatch, spectral, "_real_schur")
         bases = self.count_calls(monkeypatch, harness, "build_basis")
         # every site a compression or a radius can be computed through
         sites = (harness, evaluation, spectral)
@@ -378,6 +379,7 @@ class TestInstanceQuantitiesOnce:
         report = run_experiment(cfg)
         assert report.summary["errors"] == 0
         assert len(schur) == 2
+        assert gees == []  # a walk's P is symmetric: its form comes from eigh
         # per trial: one schur_dominant basis per K; the identity sub-case
         # builds no basis
         assert len(bases) == 2 * 2
@@ -862,6 +864,30 @@ class TestCli:
             "a 'path' source takes only ['path']\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("strategy", ["schur_dominant", "svd_top", "coordinate"])
+    def test_repeated_trials_of_a_seed_free_path_source_are_error_line(
+        self, tmp_path, capsys, strategy
+    ):
+        # every trial would build the same bases from the same Mdp
+        mdp_dir = tmp_path / "mdp"
+        write_mdp(make_random_mdp(5, 1, seed=0), str(mdp_dir))
+        cfg = tmp_path / "c.json"
+        body = {
+            "mdp_source": {"path": str(mdp_dir)},
+            "output_dir": str(tmp_path / "out"),
+            "basis_strategy": strategy,
+            "trials": 2,
+        }
+        cfg.write_text(json.dumps(body))
+        assert cli_main(["check-compression", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: trials=2 would repeat one trial: a path source and the "
+            f"{strategy!r} basis take no seed; use trials=1\n"
+        )
+        assert not (tmp_path / "out").exists()
+        cfg.write_text(json.dumps(dict(body, trials=1)))
+        assert cli_main(["check-compression", "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("command", ["evaluate", "generate"])
     @pytest.mark.parametrize("top", [[1, 2], "config", 3])

@@ -1,8 +1,9 @@
 """What specvi loads, and when, each checked in a fresh interpreter.
 
-scipy's LAPACK extension is loaded on the first Schur build and nowhere
-else, without the scipy.linalg package, and with the shortest idle timeout
-for the thread pool of scipy's OpenBLAS; the lazily loaded numpy submodules
+scipy's LAPACK extension is loaded on the first Schur build of a
+non-symmetric P and nowhere else (a symmetric P's form needs no scipy),
+without the scipy.linalg package, and with the shortest idle timeout for
+the thread pool of scipy's OpenBLAS; the lazily loaded numpy submodules
 that a batch uses are imported with specvi, so no batch pays for them;
 perfbench's tracing still finds every name it wraps. The last two tests
 read the source instead: every module-level import of a specvi module is
@@ -78,16 +79,36 @@ def test_import_and_random_basis_evaluate_load_no_scipy(tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_schur_bases_of_a_symmetric_walk_load_no_scipy(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "check",
+        mdp_source={"generator": "symmetric_walk", "n": 30, "self_loop": 0.2},
+        K_list=[3, 8],
+        alpha_list=[0.9],
+        basis_strategy="schur_dominant",
+    )
+    out = run_fresh(
+        f"""
+        import sys
+        from specvi import cli
+        assert cli.main(["check-compression", "--config", {cfg!r}]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """
+    )
+    assert out.splitlines()[-1] == "[]"
+
+
 def schur_build_then(*lines):
-    """Code that builds one schur_dominant basis, then runs lines."""
+    """Code that builds one schur_dominant basis of a non-symmetric P, then runs lines."""
     return "\n".join(
         [
             "import sys",
             "import numpy as np",
             "from specvi import build_basis, induce_chain, spectral",
-            "from specvi.mdp import Policy, make_symmetric_walk",
-            "walk = make_symmetric_walk(12, 0.2, seed=1)",
-            "P = induce_chain(walk, Policy(np.zeros(12, dtype=np.int64))).P",
+            "from specvi.mdp import Policy, make_random_mdp",
+            "mdp = make_random_mdp(12, 2, seed=2)",  # K=3 cuts no complex pair
+            "P = induce_chain(mdp, Policy(np.zeros(12, dtype=np.int64))).P",
             "build_basis(P, 3, 'schur_dominant')",
             *lines,
         ]
@@ -221,8 +242,9 @@ def test_perfbench_tracing_installs_and_traced_batches_run(tmp_path):
 
 
 # Records the OpenBLAS timeout each scipy extension module is created
-# (dlopened) under, then builds a schur_dominant basis at n=300, where
-# threaded BLAS runs, and measures the CPU time of a 0.3 s sleep after it.
+# (dlopened) under, then builds a schur_dominant basis of a non-symmetric P
+# at n=300, where threaded BLAS runs, and measures the CPU time of a 0.3 s
+# sleep after it.
 # FALLBACK makes the loader find no spec, so it takes the
 # `from scipy.linalg import _flapack` route.
 LOAD_AND_IDLE = """
@@ -234,7 +256,7 @@ LOAD_AND_IDLE = """
     import time
     import numpy as np
     from specvi import build_basis, induce_chain, spectral
-    from specvi.mdp import Policy, make_symmetric_walk
+    from specvi.mdp import Policy, make_random_mdp
 
     seen = []
     loader = importlib.machinery.ExtensionFileLoader
@@ -254,8 +276,8 @@ LOAD_AND_IDLE = """
             return None
         finder.find_spec = no_spec_once
 
-    walk = make_symmetric_walk(300, 0.2, seed=1)
-    P = induce_chain(walk, Policy(np.zeros(300, dtype=np.int64))).P
+    mdp = make_random_mdp(300, 2, seed=1)  # K=10 cuts no complex pair
+    P = induce_chain(mdp, Policy(np.zeros(300, dtype=np.int64))).P
     build_basis(P, 10, "schur_dominant")
     assert ("scipy.linalg" in sys.modules) == FALLBACK
     def cpu_s():
@@ -297,9 +319,15 @@ SCHUR_HASHES = """
     from specvi import induce_chain, spectral
     from specvi.mdp import Policy, make_random_mdp, make_symmetric_walk
 
-    for mdp in (make_symmetric_walk(300, 0.2, seed=300), make_random_mdp(300, 2, seed=300)):
-        P = induce_chain(mdp, Policy(np.zeros(300, dtype=np.int64))).P
-        schur = spectral._SchurSort(spectral.square_matrix(P))
+    def chain(mdp):
+        return induce_chain(mdp, Policy(np.zeros(300, dtype=np.int64))).P.entries
+
+    # a walk reweighted into a reversible chain: a real spectrum, but not
+    # symmetric, so its form comes from gees and trexc
+    d = np.random.default_rng(300).uniform(0.5, 2.0, 300)
+    W = d[:, None] * chain(make_symmetric_walk(300, 0.2, seed=300)) * d[None, :]
+    for P in (W / W.sum(axis=1, keepdims=True), chain(make_random_mdp(300, 2, seed=300))):
+        schur = spectral._SchurSort(P)
         schur.sort_to(300)
         print(hashlib.sha256(schur.Z.tobytes()).hexdigest())
 """

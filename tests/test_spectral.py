@@ -630,8 +630,26 @@ def reference_sorted_real_schur(P):
     return np.ascontiguousarray(T), np.ascontiguousarray(Z), tol
 
 
+def reference_symmetric_schur(P):
+    """The sorted real Schur form of a symmetric P from eigh: T diagonal, and
+    the eigenpairs in decreasing |lambda|, ties kept in eigh's order."""
+    w, V = np.linalg.eigh(P)
+    order = sorted(range(P.shape[0]), key=lambda i: -abs(w[i]))
+    return np.diag(w[order]), np.ascontiguousarray(V[:, order])
+
+
 def chain_matrix(mdp):
     return induce_chain(mdp, Policy(np.zeros(mdp.n, dtype=np.int64))).P.entries
+
+
+def reversible_walk(n, seed):
+    """A symmetric walk P reweighted into the reversible chain D^-1 W,
+    W = D P D: a real spectrum, as the walk's, but not symmetric, so its
+    form comes from gees and trexc sorts it."""
+    P = chain_matrix(make_symmetric_walk(n, 0.2, seed=seed))
+    d = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+    W = d[:, None] * P * d[None, :]
+    return W / W.sum(axis=1, keepdims=True)
 
 
 def full_sort_bases(P):
@@ -655,7 +673,7 @@ class TestSchurMemo:
         if make == "random":
             P = chain_matrix(make_random_mdp(n, 2, seed=n))
         else:
-            P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
+            P = reversible_walk(n, seed=n)
         want = full_sort_bases(P)
         Ks = list(range(1, n + 1))
         if order == "descending":
@@ -671,9 +689,11 @@ class TestSchurMemo:
                 assert build_basis(P, K, memo=memo).U.tobytes() == want[K]
         if make == "random":
             assert None in want.values()
+        else:
+            assert None not in want.values()
 
     def test_sort_stops_at_K(self):
-        P = chain_matrix(make_symmetric_walk(40, 0.2, seed=4))  # 1x1 blocks only
+        P = reversible_walk(40, seed=4)  # 1x1 blocks only
         memo = {}
         build_basis(P, 5, memo=memo)
         assert memo["schur"].pos == 5
@@ -726,23 +746,71 @@ class TestSchurMemo:
 
 
 class TestSortedSchurReference:
-    """Random MDPs have complex pairs; symmetric walks have modulus ties."""
+    """Random MDPs have complex pairs, which gees and trexc sort; symmetric
+    walks take their form from one eigh."""
 
     @pytest.mark.parametrize("n", [20, 150, 300])
     @pytest.mark.parametrize("make", ["random", "walk"])
     def test_matches_reference_bytes(self, n, make):
         if make == "random":
             P = chain_matrix(make_random_mdp(n, 2, seed=n))
+            T_ref, Z_ref, tol_ref = reference_sorted_real_schur(P)
         else:
             P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
+            T_ref, Z_ref = reference_symmetric_schur(P)
+            tol_ref = 100 * np.finfo(np.float64).eps * max(1.0, inf_norm(P))
         schur = spectral._SchurSort(P)
         schur.sort_to(n)
-        T_ref, Z_ref, tol_ref = reference_sorted_real_schur(P)
         assert schur.subdiag_tol == tol_ref
         assert schur.T.tobytes() == T_ref.tobytes()
         assert schur.Z.tobytes() == Z_ref.tobytes()
         if make == "random":
             assert np.count_nonzero(np.abs(np.diag(schur.T, -1)) > tol_ref) > 0
+
+
+class TestSymmetricSchur:
+    """A symmetric P's sorted Schur form comes from one eigh, fully sorted
+    from the start; its bases span the subspaces that gees and trexc give."""
+
+    @pytest.mark.parametrize("n", [20, 150, 300])
+    def test_bases_span_the_gees_trexc_subspaces(self, n):
+        # the walks' moduli are distinct: the smallest gap is 6.6e-6 at n=300
+        P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
+        memo = {}
+        build_basis(P, 1, memo=memo)
+        assert memo["schur"].pos == n  # nothing left to sort
+        _, Z_ref, _ = reference_sorted_real_schur(P)
+        # the projectors U U^T for K = 1..n, one rank-one term at a time
+        got, want = np.zeros((n, n)), np.zeros((n, n))
+        for K in range(1, n + 1):
+            u, z = build_basis(P, K, memo=memo).U[:, -1], Z_ref[:, K - 1]
+            got += np.outer(u, u)
+            want += np.outer(z, z)
+            assert np.abs(got - want).max() <= 1e-10, K
+
+    def test_a_failed_eigh_raises_and_is_not_kept(self, monkeypatch):
+        P = chain_matrix(make_symmetric_walk(20, 0.2, seed=1))
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(spectral.np.linalg, "eigh", failing)
+        memo = {}
+        with pytest.raises(EigenFailureError, match="symmetric eigensolver"):
+            build_basis(P, 3, memo=memo)
+        assert memo == {}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_non_finite_input_fails_alike_on_both_paths(self, symmetric, bad):
+        P = np.array(
+            chain_matrix(make_symmetric_walk(6, 0.2, seed=1))
+            if symmetric
+            else reversible_walk(6, seed=1)
+        )
+        P[2, 3] = P[3, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            build_basis(P, 2)
 
 
 class TestStandardizedSchurForm:
@@ -762,7 +830,7 @@ class TestStandardizedSchurForm:
         if make == "random":
             P = chain_matrix(make_random_mdp(n, 2, seed=n))
         elif make == "walk":
-            P = chain_matrix(make_symmetric_walk(n, 0.2, seed=n))
+            P = reversible_walk(n, seed=n)
         else:
             P = np.random.default_rng(n).standard_normal((n, n))
         schur = spectral._SchurSort(P)  # unsorted: schur.T is _real_schur's T
