@@ -380,7 +380,7 @@ class Instance:
     Schur form, which the first build_basis call stores in the instance's
     memo, sorted only as far as the largest K asked; a symmetric P's
     (every symmetric_walk's) comes from one eigh, fully sorted, with no
-    scipy. A failed computation is not cached, so each record that needs
+    scipy. svd_top bases share one SVD the same way. A failed computation is not cached, so each record that needs
     it records the error itself.
     """
 
@@ -390,7 +390,7 @@ class Instance:
         self.mdp, self.seed = _make_instance(config, trial, first)
         _check_K(config, self.mdp.n)
         self.chain = induce_chain(self.mdp, _policy_for(config, self.mdp))
-        self._schur_memo = {}
+        self._basis_memo = {}
         self._values = {}
 
     def _cached(self, key, compute):
@@ -410,7 +410,7 @@ class Instance:
             lambda: compress(
                 P,
                 build_basis(
-                    P, K, strategy=self.config.basis_strategy, seed=self.seed, memo=self._schur_memo
+                    P, K, strategy=self.config.basis_strategy, seed=self.seed, memo=self._basis_memo
                 ),
             ),
         )

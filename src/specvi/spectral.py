@@ -5,15 +5,15 @@ Matrix powers are always formed by repeated multiplication, never through
 an eigendecomposition, so transient growth of non-normal matrices shows
 up in the measured norms instead of being idealized away.
 
-Gelfand norms ||A^k||^(1/k) come from one scaled power chain, which
-rescales a power whose peak |entry| leaves [1e-100, 1e100]. Scanning each
-power for its peak costs more than its own time, since the scan sits
-between two BLAS products, so the chain skips it where a bound proves it
-would not fire: for A >= 0 entrywise with positive row sums, the error
-bound of sums of nonnegative terms (Higham, 2002) keeps every row sum of
-the k-th computed power within ((1 +- gamma) * row sum of A)^k, and the
-peak lies between the largest row sum / n and the largest row sum. Every
-transition matrix the generators make meets it, past k = 10^14 for n <= 2000.
+Gelfand norms ||A^k||^(1/k) are taken of powers held as 2^e * B, with e
+an exact integer and B's peak |entry| in [0.5, 1): every product is
+divided in place by the power of two of its peak (math.frexp and
+np.ldexp), which rounds only entries it makes subnormal (below
+2^-1022). So no product of two such factors can overflow (its entries
+are at most n), and no power is falsely zero or falsely infinite in
+either norm. gelfand_finals forms A^k by binary powering, floor(log2 k)
++ popcount(k) - 1 products; gelfand_sequence, which needs every power,
+multiplies one factor at a time.
 
 scipy is used only for the two LAPACK routines of schur_dominant bases
 of a non-symmetric P, dgees and dtrexc, and its extension module
@@ -70,13 +70,6 @@ DENSE_EIG_LIMIT = 2000
 
 #: Orthonormality tolerance on ||U^T U - I||_max.
 ORTHONORMAL_TOL = 1e-12
-
-#: Rescaling window for the scaled power chain of the Gelfand norms.
-_RESCALE_HI = 1e100
-_RESCALE_LO = 1e-100
-
-#: Unit roundoff of float64, the bound on the relative error of one rounding.
-_UNIT_ROUNDOFF = 2.0**-53
 
 BASIS_STRATEGIES = ("schur_dominant", "svd_top", "random_orthonormal", "coordinate")
 NORM_KINDS = ("two_norm", "inf_norm")
@@ -345,8 +338,10 @@ def build_basis(
     memo, if given, is a dict the caller keeps for this one P: the first
     schur_dominant call stores the Schur form in it, sorted only as far as
     the largest K asked so far (a symmetric P's fully), and later calls for
-    other K reuse it, extending the sort when K is larger. Without one, the
-    call keeps a fresh dict of its own and the sort stops at K.
+    other K reuse it, extending the sort when K is larger; the first
+    svd_top call stores P's left singular vectors under "svd", and later
+    calls copy their first K columns. Without one, the call keeps a fresh
+    dict of its own and the sort stops at K.
     """
     M = square_matrix(P)
     n = M.shape[0]
@@ -356,6 +351,7 @@ def build_basis(
         raise InvalidParameterError(
             f"unknown strategy {strategy!r}; choose one of {BASIS_STRATEGIES}"
         )
+    memo = {} if memo is None else memo
     if strategy == "coordinate":
         U = np.eye(n)[:, :K]
     elif strategy == "random_orthonormal":
@@ -363,13 +359,14 @@ def build_basis(
         G = rng.standard_normal((n, K))
         U, _ = np.linalg.qr(G, mode="reduced")
     elif strategy == "svd_top":
-        try:
-            left, _, _ = np.linalg.svd(M)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailureError("SVD did not converge") from exc
+        left = memo.get("svd")
+        if left is None:
+            try:
+                left = memo["svd"] = np.linalg.svd(M)[0]
+            except np.linalg.LinAlgError as exc:
+                raise EigenFailureError("SVD did not converge") from exc
         U = left[:, :K]
     else:  # schur_dominant
-        memo = {} if memo is None else memo
         schur = memo.get("schur")
         if schur is None:
             schur = memo["schur"] = _SchurSort(M)
@@ -400,97 +397,67 @@ def compress(P, U: OrthonormalBasis) -> CompressedOperator:
     return CompressedOperator(A, basis=U)
 
 
-def _scan_free_horizon(M: np.ndarray, k_max: int) -> int:
-    """The last k <= k_max such that every power M^1..M^k that _scaled_powers
-    forms is provably nonzero and finite, with its peak |entry| in
-    [_RESCALE_LO, _RESCALE_HI]; 0 where nothing is proven.
+def _rescale(B: np.ndarray) -> int | None:
+    """Divide B in place by 2^e, the power of two that puts its peak |entry|
+    in [0.5, 1), and return e; None, leaving B as it is, when B is zero."""
+    peak = float(np.abs(B).max())
+    if peak == 0.0:
+        return None
+    e = math.frexp(peak)[1]
+    np.ldexp(B, -e, out=B)
+    return e
 
-    It is proven for M >= 0 entrywise with positive row sums. In any
-    summation order, a computed entry of a product of nonnegative n x n
-    matrices, and a computed row sum of M, is the exact value times
-    1 + theta with |theta| <= gamma = (n+1)u / (1 - (n+1)u), u = 2^-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1;
-    the +1 over the n terms of a dot product covers products that
-    underflow, which err by at most 2^-1075 each). So with M's exact row
-    sums in [r_lo, r_hi], every row sum of the k-th computed power lies in
-    [((1-gamma) r_lo)^(k-1) r_lo, ((1+gamma) r_hi)^(k-1) r_hi], and its
-    peak lies between its largest row sum / n and its largest row sum. Each
-    bound is rounded outward here, step by step.
+
+def _scaled_copy(M: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """(B, e) with M = 2^e * B, B a rescaled copy of M; e is None for a zero M.
+
+    A non-finite M raises PowerOverflowError with k = 1. It is the only
+    power that can: later ones are products of rescaled factors.
     """
-    n = M.shape[0]
-    if not M.min() >= 0.0:  # a negative entry, or a NaN
-        return 0
-    sums = M.sum(axis=1)
-    c = (n + 1) * _UNIT_ROUNDOFF  # exact, and so is 1 - c
-    gamma = _up(c / (1.0 - c))
-    shrink, grow = _down(1.0 - gamma), _up(1.0 + gamma)
-    lo = _down(float(sums.min()) * shrink)  # <= s_lo / (1 + gamma)
-    hi = _up(float(sums.max()) / shrink)  # >= s_hi / (1 - gamma)
-    per_lo, per_hi = _down(shrink * lo), _up(grow * hi)  # one product's factors
-    least = _up(n * _RESCALE_LO)  # a row sum that proves a peak >= _RESCALE_LO
-    for k in range(1, k_max + 1):
-        if not (least <= lo and hi <= _RESCALE_HI):
-            return k - 1
-        lo, hi = _down(lo * per_lo), _up(hi * per_hi)
-    return k_max
-
-
-def _down(x: float) -> float:
-    """The float below x: a lower bound of the exact value that x rounds."""
-    return math.nextafter(x, -math.inf)
-
-
-def _up(x: float) -> float:
-    """The float above x: an upper bound of the exact value that x rounds."""
-    return math.nextafter(x, math.inf)
+    if not np.isfinite(M).all():
+        raise PowerOverflowError("A^1 is not finite", k=1)
+    B = M.copy()
+    return B, _rescale(B)
 
 
 def _scaled_powers(M: np.ndarray, k_max: int):
-    """Yield (k, B, log_scale) with A^k = exp(log_scale) * B for k = 1, 2, ...,
-    up to k_max or to the last power before the first zero one.
+    """Yield (k, B, e) with A^k = 2^e * B and B's peak |entry| in [0.5, 1),
+    for k = 1, 2, ..., up to k_max or to the last power before the first
+    zero one.
 
-    B is M itself at k = 1. Each later B is the previous one times M,
-    divided by its peak |entry| whenever that peak leaves
-    [_RESCALE_LO, _RESCALE_HI], so it has its peak in that window. A
-    non-finite product raises PowerOverflowError with its k, so callers
-    iterate under np.errstate(over="ignore", invalid="ignore"). Powers up to
-    _scan_free_horizon are not scanned for their peak: it provably needs no
-    rescale, and they are neither zero nor non-finite. The products go into
-    two buffers in turn, so a yielded B holds its values until the next
-    step only; once the chain ends, only the last B's buffer stays alive.
+    Each B is the previous one times the rescaled copy of M, then
+    rescaled. The products go into two buffers in turn, so a yielded B
+    holds its values until the next step only.
     """
-    B = M
-    log_scale = 0.0
-    yield 1, B, log_scale
-    horizon = _scan_free_horizon(M, k_max)
+    base, e_base = _scaled_copy(M)
+    if e_base is None:
+        return
+    B, e = base, e_base
+    yield 1, B, e
     buffers = (np.empty_like(M), np.empty_like(M))
-    scratch = np.empty_like(M) if horizon < k_max else None
     for k in range(2, k_max + 1):
-        B = np.dot(B, M, out=buffers[k % 2])
-        if k > horizon:
-            peak = float(np.abs(B, out=scratch).max())
-            if not math.isfinite(peak):
-                raise PowerOverflowError(f"A^{k} left the representable range", k=k)
-            if peak == 0.0:
-                return  # every later power is zero too
-            if peak > _RESCALE_HI or peak < _RESCALE_LO:
-                np.divide(B, peak, out=B)
-                log_scale += math.log(peak)
-        yield k, B, log_scale
+        B = np.dot(B, base, out=buffers[k % 2])
+        shift = _rescale(B)
+        if shift is None:
+            return  # every later power is zero too
+        e += e_base + shift
+        yield k, B, e
 
 
-def _gelfand_value(nrm: float, log_scale: float, k: int) -> float:
-    return math.exp((log_scale + math.log(nrm)) / k)
+def _gelfand_value(nrm: float, e: int, k: int) -> float:
+    """exp((e ln 2 + ln nrm) / k), the whole powers of two of 2^(e/k) applied exactly."""
+    q, r = divmod(e, k)
+    return math.ldexp(math.exp((r * math.log(2.0) + math.log(nrm)) / k), q)
 
 
 def gelfand_sequence(A, k_max: int, norm_kind: str = "two_norm") -> np.ndarray:
     """Norm sequence ||A^k||^(1/k) for k = 1..k_max by repeated multiplication,
     as a read-only array whose entry k - 1 is the k-th value.
 
-    The running power is periodically rescaled (with the log of the scale
-    carried separately) so values stay accurate even when ||A^k|| leaves
-    the comfortable floating-point range; a genuine non-finite product
-    still raises PowerOverflowError with the offending k.
+    Each power is held as 2^e * B with B's peak |entry| in [0.5, 1), so its
+    value exp((e ln 2 + ln ||B||) / k) stays accurate wherever ||A^k||
+    lies; it is 0.0 from the first exactly zero power on. A non-finite A
+    raises PowerOverflowError with k = 1; no later power can overflow.
     """
     M = square_matrix(A)
     if k_max < 1:
@@ -501,60 +468,46 @@ def gelfand_sequence(A, k_max: int, norm_kind: str = "two_norm") -> np.ndarray:
         )
     norm = two_norm if norm_kind == "two_norm" else inf_norm
     values = np.zeros(k_max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, B, log_scale in _scaled_powers(M, k_max):
-            nrm = norm(B)
-            if not math.isfinite(nrm):
-                raise PowerOverflowError(f"||A^{k}|| is not finite", k=k)
-            if nrm == 0.0:
-                break  # nilpotent from here on; later powers stay zero
-            values[k - 1] = _gelfand_value(nrm, log_scale, k)
+    for k, B, e in _scaled_powers(M, k_max):
+        values[k - 1] = _gelfand_value(norm(B), e, k)
     return _frozen_array(values)
 
 
 def gelfand_finals(A, k_max: int) -> tuple[float, float]:
-    """||A^k_max||^(1/k_max) in the two-norm and the inf-norm, from one power chain.
+    """||A^k_max||^(1/k_max) in the two-norm and the inf-norm, from one power.
 
-    Bit for bit the last entries of gelfand_sequence(A, k_max, kind) for
-    both kinds, with the same PowerOverflowError where either raises. Only
-    A itself can have a non-finite or falsely zero norm (its Gram matrix
-    can overflow or underflow): every later power is exactly zero or has
-    its peak |entry| in the rescaling window, so its norms are finite and
-    positive. The norms are therefore taken of A and of the last power
-    only, and the chain stops at the first zero power.
-
-    Between two products the chain scans the power for its peak, unless a
-    bound from A's row sums proves that the peak needs no rescale: for an
-    entrywise nonnegative A with positive row sums, such as any transition
-    matrix, every row sum of the k-th computed power lies within
-    ((1 +- gamma) * row sum of A)^k, gamma = (n+1) 2^-53 / (1 - (n+1) 2^-53)
-    (the error bound of sums of nonnegative terms), and the peak within a
-    factor n of the largest row sum. For a stochastic A with n <= 2000
-    that rules out every scan up to k = 10^14 at least; a signed A, such as
-    a compression U^T P U, is scanned at every power. The products are the
-    same either way, and so are the values.
+    A^k_max = 2^e * R comes from binary powering (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 18): starting from the
+    rescaled copy of A, the base is squared, and multiplied into R at each
+    set bit of k_max, floor(log2 k_max) + popcount(k_max) - 1 products in
+    all; every product is rescaled by a power of two, which e carries.
+    Each value is exp((e ln 2 + ln ||R||) / k_max). They agree with the
+    last entries of gelfand_sequence up to rounding, not bit for bit: the
+    products differ. Both are 0.0 only for a zero A or an exactly zero
+    power; a non-finite A raises PowerOverflowError with k = 1.
     """
     M = square_matrix(A)
     if k_max < 1:
         raise InvalidParameterError("k_max must be >= 1")
-    norms = (two_norm, inf_norm)
-    live = []
-    for norm in norms:
-        nrm = norm(M)
-        if not math.isfinite(nrm):
-            raise PowerOverflowError("||A^1|| is not finite", k=1)
-        live.append(nrm > 0.0)
-    if not any(live):
-        return 0.0, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, B, log_scale in _scaled_powers(M, k_max):
-            pass
-    if k < k_max:
-        return 0.0, 0.0  # the chain stopped at a zero power
-    return tuple(
-        _gelfand_value(norm(B), log_scale, k_max) if alive else 0.0
-        for norm, alive in zip(norms, live)
-    )
+    base, e_base = _scaled_copy(M)
+    R, e, k = None, 0, k_max
+    while e_base is not None:
+        if k & 1:
+            if R is None:
+                R, e = base, e_base
+            else:
+                R = R @ base
+                shift = _rescale(R)
+                if shift is None:
+                    break
+                e += e_base + shift
+        k >>= 1
+        if not k:
+            return tuple(_gelfand_value(norm(R), e, k_max) for norm in (two_norm, inf_norm))
+        base = base @ base
+        shift = _rescale(base)
+        e_base = None if shift is None else 2 * e_base + shift
+    return 0.0, 0.0  # A, or a power of it, is exactly zero
 
 
 def power_vanishing_check(A, k_max: int, threshold: float) -> tuple[bool, int | None, float]:

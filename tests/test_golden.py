@@ -6,9 +6,13 @@ the values of created_at and config.output_dir, which differ between
 reruns by design and are stored as "-". Every trace CSV is compared
 byte for byte.
 
-After a deliberate change of the report bytes, re-capture with
+After a deliberate change of the report bytes, re-capture the cases it
+affects with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
+
+or every case, with no argument. An unknown case name captures nothing
+and exits with status 2.
 """
 
 import os
@@ -105,8 +109,8 @@ CASES = {
         trials=2,
         basis_strategy="schur_dominant",
     ),
-    # K=1 compresses to [[0]], so both finals stop at a zero norm; the
-    # K>=2 compressions (rho 0.08-0.37) take the downward rescale
+    # K=1 compresses to [[0]], so both finals are 0.0; the K>=2
+    # compressions (rho 0.08-0.37) have powers far below 1
     "gelfand_study_edges": dict(
         kind="gelfand_study",
         mdp_source={"generator": "symmetric_walk", "n": 20, "self_loop": 0.0},
@@ -164,8 +168,25 @@ def test_output_matches_golden(tmp_path, case):
         assert got == want, f"{case}/{name} differs from its golden copy"
 
 
-def _capture():
-    for case in sorted(CASES):
+def test_capture_takes_case_names(tmp_path, monkeypatch, capsys):
+    with open(os.path.join(GOLDEN, "gelfand_study", "report.json"), "rb") as fh:
+        want = fh.read()
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", str(tmp_path))
+    assert _capture(["gelfand_study", "no_such_case"]) == 2
+    assert "no_such_case" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert _capture(["gelfand_study"]) is None
+    assert os.listdir(tmp_path) == ["gelfand_study"]
+    assert (tmp_path / "gelfand_study" / "report.json").read_bytes() == want
+
+
+def _capture(cases):
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        known = ", ".join(sorted(CASES))
+        print(f"unknown case(s): {', '.join(unknown)}; known: {known}", file=sys.stderr)
+        return 2
+    for case in sorted(set(cases) or CASES):
         target = os.path.join(GOLDEN, case)
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, case)
@@ -181,4 +202,4 @@ def _capture():
 
 
 if __name__ == "__main__":
-    sys.exit(_capture())
+    sys.exit(_capture(sys.argv[1:]))

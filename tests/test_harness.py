@@ -390,6 +390,20 @@ class TestInstanceQuantitiesOnce:
         # per trial: one compression per K
         assert sum(map(len, compressions)) == 2 * 2
 
+    def test_one_svd_per_trial(self, tmp_path, monkeypatch):
+        svds = self.count_calls(monkeypatch, np.linalg, "svd")
+        cfg = config(
+            tmp_path,
+            kind="check_compression",
+            mdp_source={"generator": "random", "n": 20, "m": 2},
+            K_list=[3, 8, 12],
+            basis_strategy="svd_top",
+            trials=2,
+        )
+        report = run_experiment(cfg)
+        assert report.summary["errors"] == 0
+        assert len(svds) == 2
+
     def test_path_source_is_read_once_per_batch(self, tmp_path, monkeypatch):
         reads = self.count_calls(monkeypatch, harness, "read_mdp")
         write_mdp(make_random_mdp(20, 2, seed=5), str(tmp_path / "mdp"))
@@ -432,8 +446,8 @@ class TestInstanceQuantitiesOnce:
         report = run_experiment(cfg)
         assert report.summary["errors"] == 0
         assert len(report.records) == 2 * (1 + 2)
-        # per record: of A itself, then of its last power
-        assert len(two_norms) <= 2 * len(report.records)
+        # per record: of its last power only
+        assert len(two_norms) == len(report.records)
 
     def test_failed_basis_is_retried_not_cached(self, tmp_path):
         cfg = config(
