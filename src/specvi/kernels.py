@@ -14,28 +14,48 @@ stops; the affine kernel keeps each chunk's residuals as one piece and
 joins the pieces once at the end. Chunks grow from FIRST_CHUNK to
 MAX_CHUNK steps (8, 16, 32, 64), so a short run computes few steps past
 its stop. Those steps run under ``np.errstate``: their overflow or NaN
-reaches no result and raises no warning. The power scan does the same with a chunk of powers: it forms
-them by ``np.dot(S[j], A, out=S[j+1])`` in one (c+1) x K x K stack, the
-chunk's first from the previous chunk's last power, then takes their
-absolute values with one call and one max per power. Its
-chunks are also capped at POWER_STACK_DOUBLES // K**2 powers (at least
-one), so the stack stays near 256 KiB: 20 powers at K = 40, 8 at K = 64,
-and one per chunk, a per-power loop, from K = 182, where a product costs
-far more than the calls around it. ``perfbench/kernel_sweep.py`` times
-the kernels across K.
+reaches no result and raises no warning. ``perfbench/kernel_sweep.py``
+times the kernels across K.
 
-Only the stopping test is blocked. Each step's arithmetic is the one a
-per-step loop does (unlike s-step methods, which block it too and round
-differently), so the results are bit-identical to the plain per-element
-loop ``x_i = b_i + alpha*w_i`` with running max/sum reductions, which is
-the reference the tests hold them to. That fixes the reductions. Each
-row's squared residual sum is accumulated strictly left to right from
-0.0, by ``np.add.accumulate`` along the rows of a buffer whose column 0
-is 0.0; ``np.sum`` and ``d @ d`` use pairwise or blocked summation and
-round differently, which would change the ``residuals_2`` trace column.
-Max reductions are exact in any order, and each starts from 0.0 as the
-loop's did, so empty (K = 0) input still works. On one row the
-divergence test comes before the convergence test, as in the loop.
+The power scan tests a chunk of c powers at a time, c = min(MAX_CHUNK,
+POWER_STACK_DOUBLES // K**2) and at least one, so a stack of c powers
+stays near 256 KiB: 64 powers up to K = 22, 20 at K = 40, 8 at K = 64
+and one from K = 182. It first fills H = [A^1; ..; A^c] by doubling:
+each block A^(h+1..h+j) = [A^1; ..; A^j] @ A^h is one stacked product,
+whose powers it tests with one absolute-value call and one max per
+power. From E = A^k0 on, a chunk A^(k0+1..k0+c) = H @ E is one product
+too, but most chunks need only their last power. For j in 1..c,
+A^(k0+c) = A^(c-j) A^(k0+j) = A^(k0+j) A^(c-j), so ||A^(k0+c)||_max <=
+L * ||A^(k0+j)||_max, where L is the largest of 1 and every
+min(||A^m||_inf, ||A^m||_1) for m < c (max-norm, row-sum and column-sum
+norms). So when ||A^c E||_max exceeds threshold * L, with a margin of
+SKIP_MARGIN for rounding, no power of the chunk is at or below the
+threshold, and the scan skips it, E = A^c E, for one product. It skips
+only while ||E||_max * U, with U the largest ||A^m||_inf for m <= c,
+stays below SKIP_CEILING: ||A^(k0+j)||_max <= ||A^j||_inf * ||E||_max,
+so no power of a skipped chunk can overflow, and A^c E is finite. Any
+other chunk is formed and tested in full. The powers stay products,
+never an eigendecomposition, so non-normal transients still show.
+
+In the affine and Horner kernels only the stopping test is blocked.
+Each step's arithmetic is the one a per-step loop does (unlike s-step
+methods, which block it too and round differently), so the results are
+bit-identical to the plain per-element loop ``x_i = b_i + alpha*w_i``
+with running max/sum reductions, which is the reference the tests hold
+them to. That fixes the reductions. Each row's squared residual sum is
+accumulated strictly left to right from 0.0, by ``np.add.accumulate``
+along the rows of a buffer whose column 0 is 0.0; ``np.sum`` and
+``d @ d`` use pairwise or blocked summation and round differently,
+which would change the ``residuals_2`` trace column. Max reductions are
+exact in any order, and each starts from 0.0 as the loop's did, so
+empty (K = 0) input still works. On one row the divergence test comes
+before the convergence test, as in the loop.
+
+The power scan forms its powers in another order than the loop
+A^k = A^(k-1) @ A, so its norms differ from that loop's in the last
+digits; first_k is the first power whose computed max-norm is at or
+below the threshold. The tests hold it bit for bit to a reference of its
+own product order, and to the loop's (vanished, first_k).
 
 The max reductions propagate NaN, as ``np.maximum`` does (the test
 references take a NaN the same way), so a NaN anywhere in an iterate or
@@ -67,19 +87,30 @@ MAX_CHUNK = 64
 #: (256 KiB), and at least one power.
 POWER_STACK_DOUBLES = 2**15
 
+#: The power scan skips a chunk only when the max-norm of its last power
+#: exceeds threshold * L by this relative margin. It is far above the
+#: products' rounding, about K * k * 2.2e-16 relative, and above the
+#: 4.5e-6 by which two product orders differed on a triangular operand
+#: whose powers rise 1.2e18-fold above their final norm.
+SKIP_MARGIN = 1e-4
+
+#: The power scan skips a chunk only while ||E||_max * U, a bound on the
+#: max-norm of each of its powers, stays below this, so that none of them
+#: can overflow, rounding included.
+SKIP_CEILING = 2.0**1000
+
 #: Recorded in benchmark manifests; numpy is the only backend.
 ACTIVE_BACKEND = "numpy"
 
 
-def _chunks(total, most=MAX_CHUNK):
-    """Yield (start, length) of the chunks that cover steps 0..total-1,
-    none longer than most."""
-    start, size = 0, min(FIRST_CHUNK, most)
+def _chunks(total):
+    """Yield (start, length) of the chunks that cover steps 0..total-1."""
+    start, size = 0, FIRST_CHUNK
     while start < total:
         length = min(size, total - start)
         yield start, length
         start += length
-        size = min(2 * size, most)
+        size = min(2 * size, MAX_CHUNK)
 
 
 def _affine_steps(A, b, alpha, W, c):
@@ -178,42 +209,80 @@ def horner_partial_sum(A, b, alpha, k, guard):
     return W[n].copy(), None
 
 
+def _max_norms(block, m, K, scratch):
+    """Max-norms of the m K x K powers stacked in block; NaN propagates."""
+    powers = np.abs(block.reshape(m, K * K), out=scratch[:m])
+    return np.maximum.reduce(powers, axis=1, initial=0.0)
+
+
+def _test_powers(block, m, K, scratch, threshold, k0):
+    """Max-norms of the powers A^(k0+1..k0+m) stacked in block, and the
+    scan's result if one of them ends it (it is non-finite, or at or
+    below the threshold), else None."""
+    norms = _max_norms(block, m, K, scratch)
+    # not (norm < inf) is an overflowed or NaN power.
+    stop = ~(norms < np.inf) | (norms <= threshold)
+    j = int(stop.argmax())
+    if not stop[j]:
+        return norms, None
+    if not norms[j] < np.inf:
+        return norms, (False, None, np.inf)
+    return norms, (True, k0 + j + 1, float(norms[j]))
+
+
 def power_max_norms(A, k_max, threshold):
     """Scan max-norms of A^k for k = 1..k_max, stopping at the threshold.
 
-    Returns (vanished, first_k, final_norm); first_k is None when the
-    threshold was never reached. Non-finite entries (overflow or NaN) end
-    the scan with final_norm = inf. Overflow raises no warning.
+    Returns (vanished, first_k, final_norm): first_k is the first power
+    whose computed max-norm is at or below the threshold, None when no
+    power up to k_max is. Non-finite entries (overflow or NaN) end the
+    scan with final_norm = inf. A chunk of powers is formed only where
+    the norm bound in the module docstring cannot rule the chunk out.
+    Overflow raises no warning.
     """
     K = A.shape[0]
-    most = max(1, min(MAX_CHUNK, POWER_STACK_DOUBLES // max(1, K * K)))
-    width = max(1, min(most, k_max))
-    S = np.empty((width + 1, K, K))
-    scratch = np.empty((width, K * K))
-    final_norm = 0.0
-    last = 0  # row of S holding the previous chunk's last power
+    c = max(1, min(MAX_CHUNK, POWER_STACK_DOUBLES // max(1, K * K), k_max))
+    H = np.empty((c * K, K))  # A^1 .. A^c, stacked
+    scratch = np.empty((c, K * K))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, c in _chunks(k_max, most):
-            # The chunk's powers fill rows lo..lo+c-1; its first product
-            # must not overwrite the power it reads.
-            lo = 0 if last == 1 else 1
-            if k0:
-                np.dot(S[last], A, out=S[lo])
-            else:
-                S[lo] = A
-            for j in range(lo, lo + c - 1):
-                np.dot(S[j], A, out=S[j + 1])
-            powers = np.abs(S[lo : lo + c].reshape(c, K * K), out=scratch[:c])
-            norms = np.maximum.reduce(powers, axis=1, initial=0.0)
-            # not (norm < inf) is an overflowed or NaN power.
-            bad = ~(norms < np.inf)
-            stop = bad | (norms <= threshold)
-            j = int(stop.argmax())
-            if stop[j]:
-                if bad[j]:
-                    return False, None, np.inf
-                return True, k0 + j + 1, float(norms[j])
-            last = lo + c - 1
-            final_norm = float(norms[-1])
-    return False, None, final_norm
-
+        H[:K] = A
+        h = 1  # powers in H so far
+        norms, result = _test_powers(H[:K], 1, K, scratch, threshold, 0)
+        while result is None and h < c:
+            # A^(h+1..h+m) = [A^1; ..; A^m] @ A^h, one product.
+            m = min(h, c - h)
+            block = H[h * K : (h + m) * K]
+            np.dot(H[: m * K], H[(h - 1) * K : h * K], out=block)
+            norms, result = _test_powers(block, m, K, scratch, threshold, h)
+            h += m
+        if result is not None:
+            return result
+        e_norm = float(norms[-1])
+        powers = np.abs(H.reshape(c, K, K), out=scratch.reshape(c, K, K))
+        inf_norms = powers.sum(axis=2).max(axis=1, initial=0.0)
+        one_norms = powers.sum(axis=1).max(axis=1, initial=0.0)
+        L = max(1.0, float(np.minimum(inf_norms, one_norms)[:-1].max(initial=0.0)))
+        U = float(inf_norms.max())
+        skip_above = threshold * L * (1.0 + SKIP_MARGIN)
+        last = H[(c - 1) * K :]
+        E, N = last.copy(), np.empty((K, K))
+        chunk = np.empty_like(H)
+        k0 = c
+        while k0 < k_max:
+            m = min(c, k_max - k0)
+            if m == c and e_norm * U < SKIP_CEILING:
+                np.dot(last, E, out=N)
+                n_norm = float(_max_norms(N, 1, K, scratch)[0])
+                if n_norm > skip_above:
+                    E, N, e_norm = N, E, n_norm
+                    k0 += c
+                    continue
+            block = chunk[: m * K]
+            np.dot(H[: m * K], E, out=block)
+            norms, result = _test_powers(block, m, K, scratch, threshold, k0)
+            if result is not None:
+                return result
+            E[...] = block[(m - 1) * K :]
+            e_norm = float(norms[-1])
+            k0 += m
+    return False, None, e_norm

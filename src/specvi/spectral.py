@@ -511,11 +511,16 @@ def gelfand_finals(A, k_max: int) -> tuple[float, float]:
 
 
 def power_vanishing_check(A, k_max: int, threshold: float) -> tuple[bool, int | None, float]:
-    """Does ||A^k||_max fall to the threshold within k_max multiplications?
+    """Does ||A^k||_max fall to the threshold within k_max powers?
 
-    Returns (vanishes, first_k, final_norm): first_k is the first power at
-    or below the threshold, None if none is. Overflow folds into
-    vanishes=False with final_norm=inf (itself evidence that rho > 1).
+    Returns (vanishes, first_k, final_norm): first_k is the first power
+    whose computed max-norm is at or below the threshold, None if none
+    is. Overflow folds into vanishes=False with final_norm=inf (itself
+    evidence that rho > 1). The scan (kernels.power_max_norms) skips a
+    chunk of c powers with one product when a norm bound proves that
+    none of them reaches the threshold or overflows: ||A^(k0+c)||_max is
+    at most L * ||A^(k0+j)||_max for each j in 1..c, with L from the
+    row-sum and column-sum norms of A^1..A^(c-1).
     """
     M = square_matrix(A)
     if k_max < 1:

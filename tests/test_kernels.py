@@ -9,7 +9,8 @@ from specvi import kernels
 from specvi.errors import PowerOverflowError
 from specvi.evaluation import _run_affine, series_eval
 from specvi.kernels import RunStatus
-from specvi.spectral import power_vanishing_check
+from specvi.mdp import Policy, induce_chain, make_symmetric_walk
+from specvi.spectral import build_basis, compress, power_vanishing_check
 
 
 def _instance(n, seed):
@@ -246,87 +247,273 @@ def test_steps_past_the_stop_raise_no_warning():
     _same_bytes(x, x_ref)
 
 
-@pytest.mark.parametrize("K", REFERENCE_K)
-@pytest.mark.parametrize("scale, k_max", [(0.5, 200), (1.0, 8), (1e20, 3000)])
-def test_power_max_norms_matches_reference_loop(K, scale, k_max):
-    A, _ = _instance(K, 30 + K)
-    A *= scale
-    with np.errstate(over="ignore"):
-        vanished, first_k, final = kernels.power_max_norms(A, k_max, 1e-6)
-        want = _reference_power_max_norms(A, k_max, 1e-6)
-    assert (bool(vanished), first_k) == (want[0], want[1])
-    _same_bytes(np.float64(final), np.float64(want[2]))
+def _max_norm(B):
+    """max |B_ij|, a NaN if B holds one; a max is exact in any order."""
+    return float(np.maximum.reduce(np.abs(B), axis=None, initial=0.0))
 
 
-def _power_chunk_ends(K, k_max):
-    """Last power of each chunk the power scan forms at this K."""
-    most = max(1, min(kernels.MAX_CHUNK, kernels.POWER_STACK_DOUBLES // (K * K)))
-    return [start + length for start, length in kernels._chunks(k_max, most)]
+def _inf_norm(B):
+    """Largest absolute row sum."""
+    return float(np.abs(B).sum(axis=1).max())
+
+
+def _power_chunk_width(K, k_max):
+    return max(1, min(kernels.MAX_CHUNK, kernels.POWER_STACK_DOUBLES // (K * K), k_max))
+
+
+def _reference_chunked_power_scan(A, k_max, threshold):
+    """The kernel's products in the kernel's order, each power tested on
+    its own; returns the kernel's result and {k: A^k} of every power the
+    scan formed, the last power of a skipped chunk included.
+
+    A^1..A^c come by doubling, A^(h+1..h+j) = [A^1; ..; A^j] @ A^h as one
+    product. From E = A^k0 on, a full chunk is skipped (E = A^c @ E) when
+    ||E||_max * U stays below the ceiling and ||A^c @ E||_max is finite and
+    above threshold * L * (1 + SKIP_MARGIN); otherwise [A^1; ..; A^m] @ E
+    forms it, as one product.
+    """
+    K = A.shape[0]
+    c = _power_chunk_width(K, k_max)
+    formed = {}
+
+    def scan(k0, block):
+        """Record the stacked powers k0+1.. of block; the result if one stops the scan."""
+        for i in range(block.shape[0] // K):
+            B = formed[k0 + i + 1] = block[i * K : (i + 1) * K]
+            norm = _max_norm(B)
+            if not norm < np.inf:
+                return False, None, np.inf
+            if norm <= threshold:
+                return True, k0 + i + 1, norm
+        return None
+
+    H = A.copy()
+    out = scan(0, H)
+    while out is None and H.shape[0] < c * K:
+        h = H.shape[0] // K
+        block = np.dot(H[: min(h, c - h) * K], H[(h - 1) * K :])
+        out = scan(h, block)
+        H = np.concatenate([H, block])
+    if out is not None:
+        return out, formed
+    powers = [formed[m] for m in range(1, c + 1)]
+    L = max([1.0] + [min(_inf_norm(B), _inf_norm(B.T)) for B in powers[:-1]])
+    U = max(_inf_norm(B) for B in powers)
+    E, k0 = powers[-1], c
+    while k0 < k_max:
+        m = min(c, k_max - k0)
+        if m == c and _max_norm(E) * U < kernels.SKIP_CEILING:
+            N = np.dot(powers[-1], E)
+            if threshold * L * (1.0 + kernels.SKIP_MARGIN) < _max_norm(N) < np.inf:
+                E = formed[k0 + c] = N
+                k0 += c
+                continue
+        out = scan(k0, np.dot(H[: m * K], E))
+        if out is not None:
+            return out, formed
+        k0 += m
+        E = formed[k0]
+    return (False, None, _max_norm(E)), formed
 
 
 def _check_power_scan(A, k_max, threshold):
+    """The kernel's result, bit for bit that of the chunked reference."""
     with np.errstate(over="ignore", invalid="ignore"):
         got = kernels.power_max_norms(A, k_max, threshold)
-        want = _reference_power_max_norms(A, k_max, threshold)
+        want = _reference_chunked_power_scan(A, k_max, threshold)[0]
     assert (bool(got[0]), got[1]) == (want[0], want[1])
     _same_bytes(np.float64(got[2]), np.float64(want[2]))
     return got
 
 
+def _check_power_scan_meaning(A, k_max, threshold):
+    """The kernel against the chunked reference, bit for bit, and against
+    the sequential loop: the same (vanished, first_k), and final_norm
+    within k * K * eps relative at the last power k scanned, the rounding
+    of k products of K-term sums in either order. (The callers' operands
+    have no large transient; the largest gap they show is 0.08 of it.)"""
+    got = _check_power_scan(A, k_max, threshold)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_power_max_norms(A, k_max, threshold)
+    assert (bool(got[0]), got[1]) == (want[0], want[1])
+    if math.isinf(want[2]):
+        assert got[2] == want[2]
+    else:
+        rtol = (got[1] or k_max) * A.shape[0] * np.finfo(np.float64).eps
+        assert_allclose(got[2], want[2], rtol=rtol, atol=0)
+    return got
+
+
+@pytest.mark.parametrize("K", REFERENCE_K)
+@pytest.mark.parametrize("scale, k_max", [(0.5, 200), (1.0, 8), (1e20, 3000)])
+def test_power_max_norms_matches_reference_loop(K, scale, k_max):
+    A, _ = _instance(K, 30 + K)
+    _check_power_scan_meaning(A * scale, k_max, 1e-6)
+
+
+def _power_chunk_ends(K, k_max):
+    """Last power of each block the power scan tests at this K: the
+    doubling blocks up to the chunk width c, then chunks of c."""
+    c = _power_chunk_width(K, k_max)
+    ends, h = [1], 1
+    while h < c:
+        h += min(h, c - h)
+        ends.append(h)
+    while h < k_max:
+        h = min(h + c, k_max)
+        ends.append(h)
+    return ends
+
+
+def _formed_norm(A, k):
+    """||A^k||_max as the scan forms A^k when it stops at or past k.
+
+    A threshold just under the sequential norm of A^k stops the scan at
+    k + 1 for the strictly falling norms the callers use, and the skip
+    decisions before k do not depend on where near A^k the threshold is.
+    """
+    B = A
+    for _ in range(k - 1):
+        B = B @ A
+    result, formed = _reference_chunked_power_scan(A, 10000, np.abs(B).max() * (1 - 1e-9))
+    assert result[1] == k + 1
+    return _max_norm(formed[k])
+
+
 @pytest.mark.parametrize("K", [4, 40, 200])
 def test_power_scan_stops_at_chunk_edges(K):
     # 0.5 * (row-stochastic) has strictly falling max-norms, so a threshold
-    # equal to ||A^k||_max stops the scan exactly at k.
+    # equal to ||A^k||_max as the scan forms A^k stops the scan exactly at k.
     A, _ = _instance(K, 70 + K)
     A *= 0.5
-    ends = _power_chunk_ends(K, 60)
+    ends = _power_chunk_ends(K, 10000)
+    c = _power_chunk_width(K, 10000)
     if K == 200:
-        assert ends[:3] == [1, 2, 3]  # the byte cap leaves one power a chunk
+        assert c == 1 and ends[:3] == [1, 2, 3]  # the byte cap leaves one power a chunk
     else:
-        assert ends[:2] == [8, 24] if K == 4 else [8, 24, 44]
-    norms, B = [], A.copy()
-    for _ in range(max(ends[1] + 1, 4)):
-        norms.append(float(np.abs(B).max()))
-        B = B @ A
-    # the first power of the first two chunks, the last one of each
-    targets = [1, ends[0], ends[0] + 1, ends[1], ends[1] + 1]
+        assert ends[:8] == ([1, 2, 4, 8, 16, 32, 64, 128] if K == 4 else [1, 2, 4, 8, 16, 20, 40, 60])
+    # each power of the first doubling blocks, the last power of the
+    # warm-up and of the first two chunks, and the first power after each;
+    # all but the first chunk are skipped on the way to 2c + 1 and 3c
+    targets = sorted({1, 2, 3, 4, 5, c, c + 1, 2 * c, 2 * c + 1, 3 * c})
     for k in targets:
-        assert _check_power_scan(A, 10000, norms[k - 1])[:2] == (True, k)
-    # k_max at a chunk's last power, the threshold one power past it
-    for k_max in (ends[0], ends[1]):
-        assert _check_power_scan(A, k_max, norms[k_max])[:2] == (False, None)
-    # k_max below the first chunk, stopping inside it or not at all
-    assert _check_power_scan(A, 3, norms[1])[:2] == (True, 2)
-    got = _check_power_scan(A, 3, norms[3])
-    assert got[:2] == (False, None) and got[2] == norms[2]
+        assert _check_power_scan(A, 10000, _formed_norm(A, k))[:2] == (True, k)
+    # k_max at the warm-up's and a chunk's last power, the threshold one
+    # power past it
+    for k_max in (c, 2 * c):
+        got = _check_power_scan(A, k_max, _formed_norm(A, k_max + 1))
+        assert got[:2] == (False, None)
+    # k_max inside the warm-up, stopping inside it or not at all
+    assert _check_power_scan(A, 3, _formed_norm(A, 2))[:2] == (True, 2)
+    got = _check_power_scan(A, 3, _formed_norm(A, 4))
+    assert got[:2] == (False, None) and got[2] == _formed_norm(A, 3)
 
 
 def test_power_scan_stops_on_nan_inside_a_chunk():
     # A NaN power needs inf - inf inside one product; with fused
     # multiply-adds a single running sum overflows to inf first, but a sum
     # split across accumulators can meet +inf and -inf. At K = 33 this
-    # BLAS does so for some of these matrices at k = 4 of the chunk 1..8.
-    first_chunk = _power_chunk_ends(33, 100)[0]
+    # BLAS does so for some of these matrices inside a doubling block.
+    starts = {k + 1 for k in _power_chunk_ends(33, 100)}
     nan_inside = 0
     for seed in range(1, 6):
         rng = np.random.default_rng(seed)
         signs = rng.choice([-1.0, 1.0], size=(33, 33))
         A = signs * 10.0 ** rng.uniform(0.0, 80.0, size=(33, 33))
-        assert _check_power_scan(A, 100, 1e-12) == (False, None, np.inf)
-        B, k = A, 1
+        assert _check_power_scan_meaning(A, 100, 1e-12) == (False, None, np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            while np.isfinite(B).all():
-                B, k = B @ A, k + 1
-        nan_inside += bool(np.isnan(np.maximum.reduce(np.abs(B), axis=None))) and k < first_chunk
+            formed = _reference_chunked_power_scan(A, 100, 1e-12)[1]
+        k = max(formed)
+        nan_inside += bool(np.isnan(np.abs(formed[k]).max())) and k not in starts
     if not nan_inside:
         pytest.skip("this BLAS formed no NaN before an overflow")
 
 
 def test_power_scan_stops_on_overflow_inside_a_chunk():
-    # 10^k overflows at k = 309, inside the chunk of powers 249..312
+    # 10^k overflows at k = 309, inside the chunk of powers 257..320; the
+    # chunks before it are skipped
     ends = _power_chunk_ends(2, 5000)
-    assert 248 in ends and 312 in ends
-    assert _check_power_scan(10.0 * np.eye(2), 5000, 1e-12) == (False, None, np.inf)
+    assert 256 in ends and 320 in ends
+    assert _check_power_scan_meaning(10.0 * np.eye(2), 5000, 1e-12) == (False, None, np.inf)
+
+
+class _CountingNumpy:
+    """numpy, with np.dot counting the K x K products it forms; the scan
+    forms every product, stacked or not, through np.dot."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, a, b, out=None):
+        self.products += a.shape[0] // b.shape[0]
+        return np.dot(a, b, out=out)
+
+
+def test_power_scan_skips_chunks_on_the_walk(monkeypatch):
+    # The K = 40 compression of a 300-state walk at alpha 0.99 has rho = 1
+    # and first_k = 5,499 at the default threshold; a per-power scan forms
+    # about 5,500 products, the chunked scan skips all but about 300.
+    mdp = make_symmetric_walk(300, 0.2, seed=0)
+    P = induce_chain(mdp, Policy(np.zeros(mdp.n, dtype=np.int64))).P
+    M = math.sqrt(0.99) * compress(P, build_basis(P, 40, strategy="schur_dominant")).A
+    counter = _CountingNumpy()
+    monkeypatch.setattr(kernels, "np", counter)
+    got = kernels.power_max_norms(M, 10000, 1e-12)
+    monkeypatch.undo()
+    assert counter.products <= 400
+    assert got == _check_power_scan(M, 10000, 1e-12)
+    # first_k is the sequential loop's: the first power at or below 1e-12
+    B, k = M, 1
+    while np.abs(B).max() > 1e-12:
+        B, k = B @ M, k + 1
+    assert got[:2] == (True, k) and k > 5000
+
+
+def test_power_scan_dip_inside_a_chunk_is_not_skipped():
+    # A 2 x 2 block [[0, a], [b, 0]] with ab = 0.9: even powers have
+    # max-norm 0.9^(k/2), odd ones 1e6 times more. At K = 23 a chunk has
+    # 61 powers, so chunk ends alternate between odd and even powers. The
+    # even power 264 is the first at or below 1e-6, inside the chunk
+    # 245..305, whose last power is an odd one far above 1e-6; L = 1e6
+    # keeps that chunk from being skipped.
+    A = np.zeros((23, 23))
+    A[0, 1], A[1, 0] = 1e6, 0.9e-6
+    assert _power_chunk_width(23, 10000) == 61
+    assert _check_power_scan_meaning(A, 10000, 1e-6)[:2] == (True, 264)
+
+
+def test_power_scan_does_not_skip_a_chunk_that_overflows():
+    # [[0, 2^500], [2^-499, 0]] has A^(2m) = 2^m I and A^(2m+1) = 2^m A, so
+    # odd powers overflow from k = 1049 while even ones stay finite. The
+    # chunk 1025..1088 ends on the finite A^1088, far above threshold * L,
+    # but ||A^1024||_max * U overflows, so it is formed and A^1049 ends
+    # the scan.
+    A = np.array([[0.0, 2.0**500], [2.0**-499, 0.0]])
+    assert _check_power_scan_meaning(A, 1088, 1e-12) == (False, None, np.inf)
+
+
+def test_power_scan_agrees_with_the_sequential_loop():
+    # Seeded random operands: row-stochastic, non-normal triangular,
+    # Gaussian and overflowing; most run past several skipped chunks.
+    rng = np.random.default_rng(2026)
+    for i in range(24):
+        K = int(rng.integers(1, 9))
+        kind = i % 4
+        if kind == 0:
+            A = rng.random((K, K))
+            A *= rng.uniform(0.9, 0.99) / A.sum(axis=1, keepdims=True)
+        elif kind == 1:
+            A = np.triu(rng.standard_normal((K, K))) * rng.uniform(0.5, 3.0)
+            np.fill_diagonal(A, rng.uniform(0.8, 0.97, K) * rng.choice([-1.0, 1.0], K))
+        elif kind == 2:
+            A = rng.standard_normal((K, K)) * rng.uniform(0.3, 1.0) / math.sqrt(K)
+        else:
+            A = rng.standard_normal((K, K)) * 10.0 ** rng.uniform(0.5, 2.0)
+        threshold = 10.0 ** rng.uniform(-12.0, -3.0)
+        _check_power_scan_meaning(A, int(rng.integers(1, 600)), threshold)
 
 
 def test_power_scan_raises_no_warning():
