@@ -4,18 +4,19 @@ The affine fixed-point loop, the Horner partial-sum loop and the
 power-vanishing scan dominate runtime (up to 1e5 small matrix-vector
 products per run). At the sizes the harness runs, numpy's cost per call
 outweighs the arithmetic, so the affine and Horner kernels test their
-stopping rule once per chunk of steps, not once per step. A chunk of c
-steps writes its iterates into rows 1..c of a (c+1) x K buffer whose row
-0 is the chunk's start, at three calls a step: the BLAS product
-``np.dot(A, W[j], out=W[j+1])``, the multiply by alpha and the add of b.
-A few array calls then give every row's residuals, iterate norm and stop
-test at once, and the kernel keeps the steps up to the first row that
-stops; the affine kernel keeps each chunk's residuals as one piece and
-joins the pieces once at the end. Chunks grow from FIRST_CHUNK to
-MAX_CHUNK steps (8, 16, 32, 64), so a short run computes few steps past
-its stop. Those steps run under ``np.errstate``: their overflow or NaN
-reaches no result and raises no warning. ``perfbench/kernel_sweep.py``
-times the kernels across K.
+stopping rule once per chunk of steps, not once per step. Each run forms
+the K x (K+1) operator M = [alpha*A | b] once, and a chunk of c steps
+writes its iterates into rows 1..c of a (c+1) x (K+1) buffer whose row 0
+is the chunk's start and whose column K holds 1.0. A step is then one
+BLAS product, ``np.dot(M, W[j], out=W[j+1, :K])``, which is
+alpha*(A @ x) + b. A few array calls give every row's residuals, iterate
+norm and stop test at once, and the kernel keeps the steps up to the
+first row that stops; the affine kernel keeps each chunk's residuals as
+one piece and joins the pieces once at the end. Chunks grow from
+FIRST_CHUNK to MAX_CHUNK steps (8, 16, 32, 64), so a short run computes
+few steps past its stop. Those steps run under ``np.errstate``: their
+overflow or NaN reaches no result and raises no warning.
+``perfbench/kernel_sweep.py`` times the kernels across K.
 
 The power scan tests a chunk of c powers at a time, c = min(MAX_CHUNK,
 POWER_STACK_DOUBLES // K**2) and at least one, so a stack of c powers
@@ -40,16 +41,18 @@ never an eigendecomposition, so non-normal transients still show.
 In the affine and Horner kernels only the stopping test is blocked.
 Each step's arithmetic is the one a per-step loop does (unlike s-step
 methods, which block it too and round differently), so the results are
-bit-identical to the plain per-element loop ``x_i = b_i + alpha*w_i``
-with running max/sum reductions, which is the reference the tests hold
-them to. That fixes the reductions. Each row's squared residual sum is
-accumulated strictly left to right from 0.0, by ``np.add.accumulate``
-along the rows of a buffer whose column 0 is 0.0; ``np.sum`` and
-``d @ d`` use pairwise or blocked summation and round differently,
-which would change the ``residuals_2`` trace column. Max reductions are
-exact in any order, and each starts from 0.0 as the loop's did, so
-empty (K = 0) input still works. On one row the divergence test comes
-before the convergence test, as in the loop.
+bit-identical to the per-step loop ``x = M @ append(v, 1.0)``, which is
+the reference the tests hold them to. Rounding alpha*A once and adding b
+inside the product moves the iterates from those of b + alpha*(A @ v)
+only in their last digits, as any order of an inner product's sum is
+backward stable; the tests hold the kernels to that formula within
+k * (K+1) * eps of the iterate's max-norm after k steps. Each row's
+squared residual sum is ``np.add.reduce`` along the row, the pairwise
+sum that ``np.sum`` gives for that step's vector alone; ``d @ d`` or a
+product with a column of ones rounds by another rule, which would change
+the ``residuals_2`` trace column. Max reductions are exact in any order,
+and each starts from 0.0, so empty (K = 0) input still works. On one row
+the divergence test comes before the convergence test, as in the loop.
 
 The power scan forms its powers in another order than the loop
 A^k = A^(k-1) @ A, so its norms differ from that loop's in the last
@@ -113,14 +116,23 @@ def _chunks(total):
         size = min(2 * size, MAX_CHUNK)
 
 
-def _affine_steps(A, b, alpha, W, c):
-    """Fill rows 1..c of W by c steps x <- b + alpha*(A @ x) from row 0."""
-    prev = W[0]
-    for x in W[1 : c + 1]:
-        np.dot(A, prev, out=x)
-        np.multiply(x, alpha, out=x)
-        np.add(x, b, out=x)
-        prev = x
+def _affine_operator(A, b, alpha, rows):
+    """M = [alpha*A | b] and a rows x (K+1) iterate buffer whose column K
+    holds 1.0, so that M @ W[j] is alpha*(A @ x) + b for x = W[j, :K]."""
+    K = b.shape[0]
+    M = np.empty((K, K + 1))
+    np.multiply(A, alpha, out=M[:, :K])
+    M[:, K] = b
+    W = np.zeros((rows, K + 1))
+    W[:, K] = 1.0
+    return M, W
+
+
+def _affine_steps(M, W, c):
+    """Fill rows 1..c of W by c steps W[j+1, :K] = M @ W[j] from row 0."""
+    K = M.shape[0]
+    for prev, x in zip(W[:c], W[1 : c + 1, :K]):
+        np.dot(M, prev, out=x)
 
 
 def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
@@ -137,11 +149,8 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     K = b.shape[0]
     width = min(MAX_CHUNK, max_iter)
     # Row 0 holds the chunk's start iterate, row j its j-th step.
-    W = np.zeros((width + 1, K))
+    M, W = _affine_operator(A, b, alpha, width + 1)
     d = np.empty((width, K))
-    # Column 0 stays 0.0, the starting value of each row's running sum.
-    sq = np.zeros((width, K + 1))
-    partial = np.empty((width, K + 1))
     # Each chunk adds its steps' residuals; the empty first piece keeps a
     # run of no steps joinable.
     res_inf, res_2 = [np.empty(0)], [np.empty(0)]
@@ -153,12 +162,11 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
         for k0, c in _chunks(max_iter):
             if k0:
                 W[0] = W[n]
-            _affine_steps(A, b, alpha, W, c)
-            steps, diff = W[1 : c + 1], d[:c]
-            np.abs(np.subtract(steps, W[:c], out=diff), out=diff)
+            _affine_steps(M, W, c)
+            steps, diff = W[1 : c + 1, :K], d[:c]
+            np.abs(np.subtract(steps, W[:c, :K], out=diff), out=diff)
             r_inf = np.maximum.reduce(diff, axis=1, initial=0.0)
-            np.multiply(diff, diff, out=sq[:c, 1:])
-            r_sq = np.add.accumulate(sq[:c], axis=1, out=partial[:c])[:, -1]
+            r_sq = np.add.reduce(np.multiply(diff, diff, out=diff), axis=1)
             v_norm = np.maximum.reduce(np.abs(steps, out=diff), axis=1, initial=0.0)
             # not (v_norm <= guard) is v_norm > guard or v_norm is NaN.
             diverged = ~(v_norm <= guard) | (r_inf != r_inf)
@@ -171,11 +179,11 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
             if kept is not None and k_final > iter_cap:
                 kept = None
             elif kept is not None:
-                kept.append(W[1 : n + 1].copy())
+                kept.append(W[1 : n + 1, :K].copy())
             if stop[j]:
                 status = RunStatus.DIVERGED if diverged[j] else RunStatus.CONVERGED
                 break
-    v = W[n].copy()
+    v = W[n, :K].copy()
     iterates = None if kept is None else np.concatenate(kept)
     return v, np.concatenate(res_inf), np.concatenate(res_2), k_final, status, iterates
 
@@ -183,30 +191,30 @@ def affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
 def horner_partial_sum(A, b, alpha, k, guard):
     """Partial sum sum_{i=0}^{k} alpha^i A^i b by Horner accumulation.
 
-    Each sweep applies x <- b + alpha*(A @ x), the same update as the
-    iteration kernel, so the two stay bit-for-bit comparable. Returns
-    (x, bad_step); bad_step is None on success, else the 1-based sweep at
-    which the guard tripped (a NaN trips it too). Overflow raises no
-    warning.
+    Each sweep applies x <- b + alpha*(A @ x) as the one product with
+    [alpha*A | b] that the iteration kernel makes, so the two stay bit for
+    bit comparable. Returns (x, bad_step); bad_step is None on success,
+    else the 1-based sweep at which the guard tripped (a NaN trips it
+    too). Overflow raises no warning.
     """
     K = b.shape[0]
     width = min(MAX_CHUNK, k)
-    W = np.empty((width + 1, K))
-    W[0] = b
+    M, W = _affine_operator(A, b, alpha, width + 1)
+    W[0, :K] = b
     scratch = np.empty((width, K))
     n = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, c in _chunks(k):
             if k0:
                 W[0] = W[n]
-            _affine_steps(A, b, alpha, W, c)
-            x_abs = np.abs(W[1 : c + 1], out=scratch[:c])
+            _affine_steps(M, W, c)
+            x_abs = np.abs(W[1 : c + 1, :K], out=scratch[:c])
             bad = ~(np.maximum.reduce(x_abs, axis=1, initial=0.0) <= guard)
             j = int(bad.argmax())
             if bad[j]:
-                return W[j + 1].copy(), k0 + j + 1
+                return W[j + 1, :K].copy(), k0 + j + 1
             n = c
-    return W[n].copy(), None
+    return W[n, :K].copy(), None
 
 
 def _max_norms(block, m, K, scratch):

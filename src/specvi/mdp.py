@@ -200,11 +200,10 @@ def induce_chain(mdp: Mdp, policy: Policy) -> InducedChain:
             f"state {s} uses action {acts[s]} but the MDP has m={mdp.m}"
         )
     P = np.empty((mdp.n, mdp.n))
-    c = np.empty(mdp.n)
-    for s in range(mdp.n):
-        a = acts[s]
-        P[s, :] = mdp.transitions[a].entries[s, :]
-        c[s] = mdp.costs[s, a]
+    for a, T in enumerate(mdp.transitions):
+        rows = acts == a
+        P[rows] = T.entries[rows]
+    c = mdp.costs[np.arange(mdp.n), acts]
     return InducedChain(StochasticMatrix(P), c)
 
 

@@ -21,8 +21,11 @@ def _instance(n, seed):
     return A, b
 
 
-# Reference implementations: the plain per-element loops the vectorised
-# kernels replaced. Every kernel output must match them byte for byte.
+# Reference implementations: the plain per-step loops the vectorised
+# kernels replaced, in the kernels' rounding order. A step is one product
+# with M = [alpha*A | b] and the iterate with a 1.0 appended; a step's
+# squared residual sum is np.sum's pairwise sum of its vector. Every
+# kernel output must match them byte for byte.
 
 
 def _running_max(acc, x):
@@ -32,8 +35,14 @@ def _running_max(acc, x):
     return x if x > acc or x != x else acc
 
 
+def _operator(A, b, alpha):
+    """M = [alpha*A | b], K x (K+1) in C order."""
+    return np.column_stack([alpha * A, b])
+
+
 def _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     K = b.shape[0]
+    M = _operator(A, b, alpha)
     v = np.zeros(K)
     res_inf = np.empty(max_iter)
     res_2 = np.empty(max_iter)
@@ -41,17 +50,15 @@ def _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
     status = RunStatus.MAX_ITER
     k_final = 0
     for step in range(max_iter):
-        w = A @ v
+        x = M @ np.append(v, 1.0)
+        d = np.abs(x - v)
+        r_sq = np.sum(d * d)
         r_inf = 0.0
-        r_sq = 0.0
         v_norm = 0.0
         for i in range(K):
-            x = b[i] + alpha * w[i]
-            d = abs(x - v[i])
-            r_inf = _running_max(r_inf, d)
-            r_sq += d * d
-            v[i] = x
-            v_norm = _running_max(v_norm, abs(x))
+            r_inf = _running_max(r_inf, d[i])
+            v_norm = _running_max(v_norm, abs(x[i]))
+        v = x
         res_inf[step] = r_inf
         res_2[step] = math.sqrt(r_sq)
         k_final = step + 1
@@ -72,14 +79,13 @@ def _reference_affine_iteration(A, b, alpha, tol, max_iter, guard, iter_cap):
 
 def _reference_horner_partial_sum(A, b, alpha, k, guard):
     K = b.shape[0]
+    M = _operator(A, b, alpha)
     x = b.copy()
     for step in range(k):
-        w = A @ x
+        x = M @ np.append(x, 1.0)
         x_norm = 0.0
         for i in range(K):
-            y = b[i] + alpha * w[i]
-            x[i] = y
-            x_norm = _running_max(x_norm, abs(y))
+            x_norm = _running_max(x_norm, abs(x[i]))
         if x_norm > guard or x_norm != x_norm:
             return x, step + 1
     return x, None
@@ -161,33 +167,104 @@ def test_chunk_edges_follow_the_schedule():
     assert ends == [8, 24, 56, 120, 184]
 
 
+AFFINE_CASES = [
+    (1.0, 0.9, 1e-10, 100000, 0),  # converges after ~200 steps, mid-chunk
+    (1.0, 0.95, 1e-10, 100000, 40),  # converges past iter_cap: no iterates
+    (1.0, 0.99, 1e-300, 130, 200),  # max_iter, inside the fifth chunk
+    (1.0, 0.99, 1e-300, 120, 13),  # max_iter on a chunk edge; iter_cap mid-chunk
+    (1.0, 0.99, 1e-300, 3, 5),  # max_iter inside the first chunk
+    (3.0, 0.9, 1e-10, 100000, 5),  # diverges past the guard mid-chunk (step 29 or 30)
+    (math.nan, 0.9, 1e-10, 100, 5),  # a NaN in A: diverges at step 1
+]
+
+HORNER_CASES = [(1.0, 0), (1.0, 70), (3.0, 200), (math.nan, 200)] + [
+    (1.0, k) for k in CHUNK_EDGE_STEPS
+]
+
+
 @pytest.mark.parametrize("K", REFERENCE_K)
-@pytest.mark.parametrize(
-    "scale, alpha, tol, max_iter, iter_cap",
-    [
-        (1.0, 0.9, 1e-10, 100000, 0),  # converges after ~200 steps, mid-chunk
-        (1.0, 0.95, 1e-10, 100000, 40),  # converges past iter_cap: no iterates
-        (1.0, 0.99, 1e-300, 130, 200),  # max_iter, inside the fifth chunk
-        (1.0, 0.99, 1e-300, 120, 13),  # max_iter on a chunk edge; iter_cap mid-chunk
-        (1.0, 0.99, 1e-300, 3, 5),  # max_iter inside the first chunk
-        (3.0, 0.9, 1e-10, 100000, 5),  # diverges past the guard mid-chunk (step 29 or 30)
-        (math.nan, 0.9, 1e-10, 100, 5),  # a NaN in A: diverges at step 1
-    ],
-)
+@pytest.mark.parametrize("scale, alpha, tol, max_iter, iter_cap", AFFINE_CASES)
 def test_affine_iteration_matches_reference_loop(K, scale, alpha, tol, max_iter, iter_cap):
     A, b = _instance(K, 10 + K)
     _check_affine(_scaled(A, scale), b, alpha, tol, max_iter, 1e12, iter_cap)
 
 
 @pytest.mark.parametrize("K", REFERENCE_K)
-@pytest.mark.parametrize(
-    "scale, k",
-    [(1.0, 0), (1.0, 70), (3.0, 200), (math.nan, 200)]
-    + [(1.0, k) for k in CHUNK_EDGE_STEPS],
-)
+@pytest.mark.parametrize("scale, k", HORNER_CASES)
 def test_horner_matches_reference_loop(K, scale, k):
     A, b = _instance(K, 20 + K)
     _check_horner(_scaled(A, scale), b, 0.95, k, 1e12)
+
+
+def _formula_affine_iteration(A, b, alpha, tol, max_iter, guard):
+    """The update as written, x = b + alpha*(A @ v), with numpy's own
+    reductions: the meaning reference, not a rounding one."""
+    v = np.zeros(b.shape[0])
+    res_inf, res_2 = [], []
+    status = RunStatus.MAX_ITER
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            x = b + alpha * (A @ v)
+            d = np.abs(x - v)
+            res_inf.append(np.max(d, initial=0.0))
+            res_2.append(math.sqrt(np.sum(d * d)))
+            v = x
+            if not np.max(np.abs(v), initial=0.0) <= guard or res_inf[-1] != res_inf[-1]:
+                status = RunStatus.DIVERGED
+                break
+            if res_inf[-1] <= tol:
+                status = RunStatus.CONVERGED
+                break
+    return v, np.array(res_inf), np.array(res_2), len(res_inf), status
+
+
+def _formula_horner_partial_sum(A, b, alpha, k, guard):
+    x = b.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(k):
+            x = b + alpha * (A @ x)
+            if not np.max(np.abs(x), initial=0.0) <= guard:
+                return x, step + 1
+    return x, None
+
+
+def _step_tolerance(k, K, x):
+    """k steps of (K+1)-term inner products, each off by at most about
+    (K+1) * eps relative to the iterate's max-norm; x's finite entries
+    give the scale."""
+    finite = np.abs(x[np.isfinite(x)])
+    scale = finite.max() if finite.size else 1.0
+    return max(k, 1) * (K + 1) * np.finfo(np.float64).eps * scale
+
+
+@pytest.mark.parametrize("K", REFERENCE_K)
+@pytest.mark.parametrize("scale, alpha, tol, max_iter, iter_cap", AFFINE_CASES)
+def test_affine_iteration_means_the_written_update(K, scale, alpha, tol, max_iter, iter_cap):
+    # The kernel rounds alpha*A and adds b inside the product; on these
+    # cases it stops at the same step with the same status as the formula,
+    # and its iterate and residuals stay within k * (K+1) * eps of the
+    # formula's, relative to the iterate's max-norm (the largest gap here
+    # is 0.15 of that).
+    A, b = _instance(K, 10 + K)
+    A = _scaled(A, scale)
+    got = kernels.affine_iteration(A, b, alpha, tol, max_iter, 1e12, iter_cap)
+    want = _formula_affine_iteration(A, b, alpha, tol, max_iter, 1e12)
+    assert got[3:5] == want[3:5]
+    atol = _step_tolerance(want[3], K, want[0])
+    for g, w in zip(got[:3], want[:3]):
+        assert_allclose(g, w, rtol=0, atol=atol, equal_nan=True)
+
+
+@pytest.mark.parametrize("K", REFERENCE_K)
+@pytest.mark.parametrize("scale, k", HORNER_CASES)
+def test_horner_means_the_written_update(K, scale, k):
+    A, b = _instance(K, 20 + K)
+    A = _scaled(A, scale)
+    x, bad = kernels.horner_partial_sum(A, b, 0.95, k, 1e12)
+    x_want, bad_want = _formula_horner_partial_sum(A, b, 0.95, k, 1e12)
+    assert bad == bad_want
+    atol = _step_tolerance(bad or k, K, x_want)
+    assert_allclose(x, x_want, rtol=0, atol=atol, equal_nan=True)
 
 
 @pytest.mark.parametrize("K", (1, 9, 60))
@@ -211,6 +288,52 @@ def test_stops_on_and_next_to_chunk_edges(K, k_stop):
     # Horner: the same growth trips the guard at sweep k_stop
     x_prev = _reference_horner_partial_sum(A3, b, 0.9, k_stop - 1, np.inf)[0]
     assert _check_horner(A3, b, 0.9, 500, np.abs(x_prev).max()) == k_stop
+
+
+class _Counted:
+    """A numpy function whose calls add to calls[name]; its methods
+    (np.add.reduce) pass through uncounted."""
+
+    def __init__(self, name, calls):
+        self.f, self.name, self.calls = getattr(np, name), name, calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls[self.name] += 1
+        return self.f(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(self.f, attr)
+
+
+class _CallCountingNumpy:
+    """numpy, with calls of np.dot, np.multiply and np.add counted."""
+
+    def __init__(self):
+        self.calls = dict.fromkeys(("dot", "multiply", "add"), 0)
+
+    def __getattr__(self, name):
+        if name in self.calls:
+            return _Counted(name, self.calls)
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("steps", (3, 8, 24, 120, 130))
+def test_one_product_per_step(monkeypatch, steps):
+    # A chunk of c steps makes c np.dot calls and nothing else per step:
+    # np.multiply runs once a call (alpha*A) and once a chunk (the squared
+    # residuals), and np.add never (the sums are np.add.reduce).
+    A, b = _instance(9, 6)
+    chunks = len(list(kernels._chunks(steps)))
+    counter = _CallCountingNumpy()
+    monkeypatch.setattr(kernels, "np", counter)
+    out = kernels.affine_iteration(A, b, 0.99, 1e-300, steps, 1e12, 0)
+    affine = dict(counter.calls)
+    counter.calls.update(dict.fromkeys(counter.calls, 0))
+    x, bad = kernels.horner_partial_sum(A, b, 0.99, steps, 1e12)
+    monkeypatch.undo()
+    assert out[3:5] == (steps, RunStatus.MAX_ITER) and bad is None
+    assert affine == {"dot": steps, "multiply": 1 + chunks, "add": 0}
+    assert counter.calls == {"dot": steps, "multiply": 1, "add": 0}
 
 
 def test_divergence_outranks_convergence_on_one_step():

@@ -108,6 +108,18 @@ class TestInduceChain:
             assert chain.P.entries[s].tobytes() == sel.tobytes()
             assert chain.c[s] == mdp.costs[s, actions[s]]
 
+    def test_mixed_policy_has_the_bytes_of_a_per_state_loop(self):
+        mdp = make_random_mdp(40, 3, seed=11)
+        actions = np.random.default_rng(11).integers(0, 3, size=40)
+        assert set(actions.tolist()) == {0, 1, 2}
+        chain = induce_chain(mdp, Policy(actions))
+        P, c = np.empty((40, 40)), np.empty(40)
+        for s, a in enumerate(actions):
+            P[s] = mdp.transitions[a].entries[s]
+            c[s] = mdp.costs[s, a]
+        assert chain.P.entries.tobytes() == P.tobytes()
+        assert chain.c.tobytes() == c.tobytes()
+
     def test_policy_length_mismatch(self):
         mdp = make_random_mdp(4, 2, seed=0)
         with pytest.raises(DimensionMismatchError):
